@@ -204,6 +204,31 @@ void BM_PolyFit(benchmark::State& state) {
 }
 BENCHMARK(BM_PolyFit)->Arg(500)->Arg(2000);
 
+// One poly2 prediction at the serving width (50 raw features: 32-d embedding
+// ⊕ 10 cluster ⊕ 8 workload scalars; 47 is the width BM_PolyFit fits), the
+// per-request regressor cost that BM_PolyFit does not time.
+void BM_PolyPredict(benchmark::State& state) {
+  const auto width = static_cast<std::size_t>(state.range(0));
+  Rng rng(7);
+  regress::RegressionData d;
+  d.x = Matrix::randn(1500, width, rng);
+  d.y.resize(d.x.rows());
+  for (std::size_t i = 0; i < d.y.size(); ++i) {
+    d.y[i] = std::exp(d.x(i, 0));
+  }
+  regress::LogTargetRegressor pr(
+      std::make_unique<regress::PolynomialRegression>());
+  pr.fit(d);
+  std::vector<Vector> rows;
+  for (std::size_t i = 0; i < d.x.rows(); ++i) rows.push_back(d.x.row(i));
+  std::size_t row = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pr.predict(rows[row]));
+    row = (row + 1) % rows.size();
+  }
+}
+BENCHMARK(BM_PolyPredict)->Arg(47)->Arg(50);
+
 // --pddl-csv: regenerate the committed micro_embed CSV series directly
 // (bench_common harness, not google-benchmark): per model one row of
 //   tape_ms      mean autograd-tape embed (Ghn2::embedding)

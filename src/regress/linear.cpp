@@ -34,27 +34,37 @@ double LinearRegression::predict(const Vector& features) const {
   return intercept_ + dot(coef_, scaler_.transform(features));
 }
 
-Vector polynomial_expand_row(const Vector& row, bool interactions) {
-  Vector out = row;
-  out.reserve(interactions ? row.size() * (row.size() + 3) / 2 : 2 * row.size());
-  for (double v : row) out.push_back(v * v);
+namespace {
+
+std::size_t expanded_width(std::size_t d, bool interactions) {
+  return interactions ? d * (d + 3) / 2 : 2 * d;
+}
+
+// Writes the degree-2 basis of row[0..d) to out[0..expanded_width(d)).
+void expand_into(const double* row, std::size_t d, bool interactions,
+                 double* out) {
+  for (std::size_t i = 0; i < d; ++i) *out++ = row[i];
+  for (std::size_t i = 0; i < d; ++i) *out++ = row[i] * row[i];
   if (interactions) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      for (std::size_t j = i + 1; j < row.size(); ++j) {
-        out.push_back(row[i] * row[j]);
-      }
+    for (std::size_t i = 0; i < d; ++i) {
+      for (std::size_t j = i + 1; j < d; ++j) *out++ = row[i] * row[j];
     }
   }
+}
+
+}  // namespace
+
+Vector polynomial_expand_row(const Vector& row, bool interactions) {
+  Vector out(expanded_width(row.size(), interactions));
+  expand_into(row.data(), row.size(), interactions, out.data());
   return out;
 }
 
 Matrix polynomial_expand(const Matrix& x, bool interactions) {
   PDDL_CHECK(x.rows() > 0, "cannot expand empty matrix");
-  const Vector first = polynomial_expand_row(x.row(0), interactions);
-  Matrix out(x.rows(), first.size());
-  out.set_row(0, first);
-  for (std::size_t i = 1; i < x.rows(); ++i) {
-    out.set_row(i, polynomial_expand_row(x.row(i), interactions));
+  Matrix out(x.rows(), expanded_width(x.cols(), interactions));
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    expand_into(x.row_ptr(i), x.cols(), interactions, out.row_ptr(i));
   }
   return out;
 }
@@ -64,10 +74,50 @@ void PolynomialRegression::fit(const RegressionData& data) {
   expanded.x = polynomial_expand(data.x, interactions_);
   expanded.y = data.y;
   inner_.fit(expanded);
+  fold();
+}
+
+void PolynomialRegression::fold() {
+  if (!inner_.fitted()) return;  // predict() refuses before reading the arrays
+  const Vector& coef = inner_.coefficients();
+  const Vector& mean = inner_.scaler().mean();
+  const Vector& stddev = inner_.scaler().stddev();
+  const std::size_t n = coef.size();
+  std::size_t d = 0;
+  while (expanded_width(d + 1, interactions_) <= n) ++d;
+  PDDL_CHECK(d > 0 && expanded_width(d, interactions_) == n,
+             "polynomial2: ", n, " coefficients are not a degree-2 basis");
+
+  bias_ = inner_.intercept();
+  auto folded = [&](std::size_t k) {
+    const double w = coef[k] / stddev[k];
+    bias_ -= w * mean[k];
+    return w;
+  };
+  lin_.resize(d);
+  sq_.resize(d);
+  cross_.resize(n - 2 * d);
+  for (std::size_t k = 0; k < d; ++k) lin_[k] = folded(k);
+  for (std::size_t k = 0; k < d; ++k) sq_[k] = folded(d + k);
+  for (std::size_t k = 0; k < cross_.size(); ++k) cross_[k] = folded(2 * d + k);
 }
 
 double PolynomialRegression::predict(const Vector& features) const {
-  return inner_.predict(polynomial_expand_row(features, interactions_));
+  PDDL_CHECK(fitted(), "predict before fit");
+  const std::size_t d = lin_.size();
+  PDDL_CHECK(features.size() == d, "polynomial2: expected ", d,
+             " features, got ", features.size());
+  const double* x = features.data();
+  const double* cross = cross_.data();
+  double acc = bias_;
+  for (std::size_t i = 0; i < d; ++i) {
+    double t = lin_[i] + sq_[i] * x[i];
+    if (interactions_) {
+      for (std::size_t j = i + 1; j < d; ++j) t += *cross++ * x[j];
+    }
+    acc += x[i] * t;
+  }
+  return acc;
 }
 
 std::unique_ptr<Regressor> PolynomialRegression::clone_config() const {
@@ -100,6 +150,7 @@ void PolynomialRegression::load(io::BinaryReader& r) {
   interactions_ = r.boolean();
   lambda_ = r.f64();
   inner_.load(r);
+  fold();
 }
 
 }  // namespace pddl::regress

@@ -24,6 +24,7 @@ class LinearRegression : public Regressor {
   void save(io::BinaryWriter& w) const override;
   void load(io::BinaryReader& r) override;
 
+  const StandardScaler& scaler() const { return scaler_; }
   const Vector& coefficients() const { return coef_; }
   double intercept() const { return intercept_; }
 
@@ -45,6 +46,14 @@ Vector polynomial_expand_row(const Vector& row, bool interactions);
 
 // Second-order polynomial regression (the paper's preferred model, §IV-B2):
 // a ridge-stabilised OLS on the expanded features.
+//
+// predict() never materializes the expanded row.  After fit() and load() the
+// scaler is folded into the coefficients (w_k = coef_k/std_k, bias =
+// intercept − Σ w_k·mean_k), split into linear, square and packed
+// upper-triangle cross arrays, and a prediction is one allocation-free pass
+// over the raw features:
+//   bias + Σ_i x_i·(lin_i + sq_i·x_i + Σ_{j>i} cross_ij·x_j).
+// The folded arrays are derived state; save() writes only the inner model.
 class PolynomialRegression : public Regressor {
  public:
   // The ridge default is deliberately non-trivial: the degree-2 basis over
@@ -64,10 +73,19 @@ class PolynomialRegression : public Regressor {
   void save(io::BinaryWriter& w) const override;
   void load(io::BinaryReader& r) override;
 
+  // The ridge model over the expanded, standardized basis.
+  const LinearRegression& linear() const { return inner_; }
+
  private:
+  void fold();
+
   bool interactions_;
   double lambda_;
   LinearRegression inner_;
+  double bias_ = 0.0;
+  Vector lin_;    // one per raw feature
+  Vector sq_;     // one per raw feature
+  Vector cross_;  // (i, j > i) in expansion order; empty without interactions
 };
 
 }  // namespace pddl::regress

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 
 #include "regress/dataset.hpp"
 #include "regress/grid_search.hpp"
 #include "regress/linear.hpp"
+#include "regress/log_target.hpp"
 #include "regress/mlp_regressor.hpp"
 #include "regress/svr.hpp"
 
@@ -179,6 +181,68 @@ TEST(Polynomial, InteractionsCaptureCrossTerm) {
   const double e2 = rmse(with_inter.predict_batch(d.x), d.y);
   EXPECT_LT(e2, 1e-6);
   EXPECT_GT(e1, 0.1);
+}
+
+// Off-centre features (so the folded bias carries the scaler means), a
+// constant column (whose stddev the scaler floors to 1.0) and a positive
+// nonlinear target.
+RegressionData poly_parity_data(std::size_t n, std::size_t d,
+                                std::uint64_t seed) {
+  Rng rng(seed);
+  RegressionData data;
+  data.x = Matrix::uniform(n, d, rng, 0.5, 3.0);
+  for (std::size_t i = 0; i < n; ++i) data.x(i, 2) = 2.5;
+  data.y.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    data.y[i] = std::exp(0.3 * data.x(i, 0) - 0.2 * data.x(i, 1) * data.x(i, 3) +
+                         0.05 * data.x(i, d - 1) * data.x(i, d - 1)) +
+                rng.uniform(0.0, 0.1);
+  }
+  return data;
+}
+
+TEST(Polynomial, FoldedPredictMatchesExpandStandardizeDotOracle) {
+  for (const bool interactions : {true, false}) {
+    SCOPED_TRACE(interactions ? "interactions" : "squares only");
+    const auto data = poly_parity_data(200, 9, 21);
+    PolynomialRegression pr(interactions);
+    pr.fit(data);
+    ASSERT_DOUBLE_EQ(pr.linear().scaler().stddev()[2], 1.0);
+
+    // Training rows, then fresh rows outside the training hull.
+    Rng rng(22);
+    const Matrix probes = Matrix::uniform(50, 9, rng, -1.0, 5.0);
+    std::vector<Vector> rows;
+    for (std::size_t i = 0; i < data.size(); ++i) rows.push_back(data.x.row(i));
+    for (std::size_t i = 0; i < probes.rows(); ++i) rows.push_back(probes.row(i));
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      // The path predict() replaced: expand, standardize, dot.
+      const double oracle =
+          pr.linear().predict(polynomial_expand_row(rows[i], interactions));
+      EXPECT_NEAR(pr.predict(rows[i]), oracle, 1e-12 * std::abs(oracle))
+          << "row " << i;
+    }
+  }
+}
+
+TEST(Polynomial, LogTargetSaveLoadPredictsBitIdentically) {
+  const auto data = poly_parity_data(150, 6, 23);
+  LogTargetRegressor saved(std::make_unique<PolynomialRegression>());
+  saved.fit(data);
+  std::stringstream ss;
+  io::BinaryWriter w(ss);
+  saved.save(w);
+
+  LogTargetRegressor loaded(std::make_unique<PolynomialRegression>());
+  io::BinaryReader r(ss, "poly2 round trip");
+  loaded.load(r);
+  ASSERT_TRUE(loaded.fitted());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    const Vector x = data.x.row(i);
+    EXPECT_EQ(loaded.predict(x), saved.predict(x)) << "row " << i;
+  }
+  EXPECT_THROW(loaded.predict(Vector(5, 1.0)), Error);
+  EXPECT_THROW(loaded.predict(Vector(7, 1.0)), Error);
 }
 
 TEST(SvrRbf, FitsQuadraticWithinTube) {
