@@ -35,11 +35,9 @@
 //
 // Cold-miss rows exercise the batched embedding pipeline (DESIGN.md §12):
 // every cache miss in a dispatch joins one multi-graph embed_batch_into
-// pass, duplicate fingerprints coalesce onto a single forward pass, and the
-// `closed-adaptive` row additionally sizes each dispatch from queue depth /
-// arrival rate / batch service time instead of the static cap.  The
-// embatch/adaptive telemetry printed after each cold run shows how wide the
-// passes actually ran.
+// pass and duplicate fingerprints coalesce onto a single forward pass.  The
+// embatch telemetry printed after each cold run shows how wide the passes
+// actually ran.
 //
 // `--family cnn|transformers|all` picks the workload population: the
 // Table II CIFAR-10 rows (default), the bert/gpt families on wikitext103,
@@ -51,7 +49,7 @@
 // (combine with --feedback-rate to interleave observe frames over the wire).
 //
 // `--smoke` is the CI mode: tiny offline training, a short uncached sweep
-// with adaptive batching on, driven through the loopback rpc front-end.
+// with static dispatch, driven through the loopback rpc front-end.
 // Exits nonzero unless every request succeeded, the wire saw zero frame
 // errors, and completed == cache_hits + cache_misses + reuse_hits.
 #include <atomic>
@@ -197,14 +195,6 @@ void print_batch_telemetry(const serve::MetricsSnapshot& m) {
       static_cast<unsigned long long>(m.embed_batch_graphs),
       m.mean_embed_batch_width(),
       static_cast<unsigned long long>(m.embed_coalesced));
-  if (m.adaptive_decisions != 0) {
-    std::printf(
-        " | adaptive: decisions=%llu mean_choice=%.2f arrival_hz=%.1f "
-        "batch_service_ms=%.3f",
-        static_cast<unsigned long long>(m.adaptive_decisions),
-        m.mean_adaptive_choice(), m.adaptive_arrival_hz,
-        m.adaptive_batch_service_ms);
-  }
   std::printf("\n");
 }
 
@@ -360,20 +350,6 @@ int run(double feedback_rate, double feedback_skew, const std::string& family,
     print_batch_telemetry(nocache.metrics);
   }
 
-  // --- Closed loop, no cache, adaptive dispatch sizing: the sizer grows
-  // batches under backlog instead of always popping the static cap. ---
-  RunStats adaptive_cold;
-  {
-    serve::ServiceConfig cfg = base;
-    cfg.cache_enabled = false;
-    cfg.adaptive_batch = true;
-    serve::PredictionService service(pddl, cfg);
-    adaptive_cold = closed_loop(service, reqs, kThreads, kRounds);
-    add_row(table, "closed-adaptive", false,
-            std::to_string(kThreads) + " threads", adaptive_cold);
-    print_batch_telemetry(adaptive_cold.metrics);
-  }
-
   // --- Closed loop, warm cache: repeat traffic skips the forward pass. ---
   RunStats cached;
   {
@@ -474,11 +450,8 @@ int run(double feedback_rate, double feedback_skew, const std::string& family,
       static_cast<unsigned long long>(wire.metrics.rpc_frames_sent),
       static_cast<unsigned long long>(wire.metrics.rpc_frame_errors));
 
-  std::printf(
-      "cold-miss (uncached) throughput: static dispatch %.0f rps (p99 "
-      "%.3fms), adaptive %.0f rps (p99 %.3fms)\n",
-      nocache.throughput_rps(), nocache.metrics.e2e.p99_ms,
-      adaptive_cold.throughput_rps(), adaptive_cold.metrics.e2e.p99_ms);
+  std::printf("cold-miss (uncached) throughput: %.0f rps (p99 %.3fms)\n",
+              nocache.throughput_rps(), nocache.metrics.e2e.p99_ms);
   const double speedup =
       cached.throughput_rps() / std::max(1e-9, nocache.throughput_rps());
   std::printf(
@@ -510,7 +483,7 @@ int run_remote(const std::string& host, std::uint16_t port,
 }
 
 // `--smoke`: the CI gate.  Tiny offline training, then a short uncached
-// sweep with adaptive batching on, driven through the loopback rpc
+// sweep with static dispatch, driven through the loopback rpc
 // front-end so the frame counters are exercised too.  Asserts the invariants
 // the batched miss path must preserve: every request succeeds, the wire sees
 // zero frame errors, and completed == cache_hits + cache_misses + reuse_hits
@@ -536,7 +509,6 @@ int run_smoke(const std::string& family, ghn::Precision precision) {
   cfg.dispatcher_threads = 2;
   cfg.queue_capacity = 1024;
   cfg.cache_enabled = false;  // every request exercises the batched miss path
-  cfg.adaptive_batch = true;
   cfg.precision = precision;
   std::printf("smoke: embed engine precision=%s dispatch=%s\n",
               ghn::precision_name(precision), simd::active_level_name());
@@ -556,15 +528,14 @@ int run_smoke(const std::string& family, ghn::Precision precision) {
       m.completed == m.cache_hits + m.cache_misses + m.reuse_hits;
   std::printf(
       "smoke: %llu/%llu ok, frame_errors=%llu, completed=%llu "
-      "(hits=%llu misses=%llu reuse=%llu), adaptive_decisions=%llu\n",
+      "(hits=%llu misses=%llu reuse=%llu)\n",
       static_cast<unsigned long long>(s.ok),
       static_cast<unsigned long long>(s.submitted),
       static_cast<unsigned long long>(m.rpc_frame_errors),
       static_cast<unsigned long long>(m.completed),
       static_cast<unsigned long long>(m.cache_hits),
       static_cast<unsigned long long>(m.cache_misses),
-      static_cast<unsigned long long>(m.reuse_hits),
-      static_cast<unsigned long long>(m.adaptive_decisions));
+      static_cast<unsigned long long>(m.reuse_hits));
   const bool pass = all_ok && no_frame_errors && accounted;
   std::printf("smoke: %s (all_ok=%d frame_errors_zero=%d accounting=%d)\n",
               pass ? "PASS" : "FAIL", all_ok, no_frame_errors, accounted);

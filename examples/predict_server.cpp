@@ -29,14 +29,10 @@
 //   --max-batch N     micro-batch size cap per dispatch (default 8); cache
 //                     misses in one dispatch run as a single batched GHN
 //                     forward pass (DESIGN.md §12)
-//   --adaptive-batch  size each dispatch from queue depth, arrival rate,
-//                     and batch service time instead of always popping up
-//                     to the cap (serve/batch_sizer.hpp); telemetry shows
-//                     up in the stats op's adaptive section
 //   --family F        workload families to train and warm for: cnn
 //                     (default; the Table II datasets), transformers
 //                     (bert/gpt on wikitext103), or all
-//   --precision P     fast-embed engine precision: f32 (default; SIMD
+//   --precision P     embed engine precision: f32 (default; SIMD
 //                     single-precision engine, predictions within the
 //                     DESIGN.md §15 error budget of the f64 oracle) or f64
 //                     (the ≤1e-9 tape-parity ablation path).  The stats op
@@ -86,7 +82,6 @@ int main(int argc, char** argv) {
   bool fast = false;
   double reuse_eps = 0.0;
   int max_batch = 8;
-  bool adaptive_batch = false;
   std::string family = "cnn";
   bool auto_retrain = false;
   std::uint64_t seed = 1;
@@ -112,8 +107,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--max-batch must be >= 1\n");
         return 2;
       }
-    } else if (arg == "--adaptive-batch") {
-      adaptive_batch = true;
     } else if (arg == "--auto-retrain") {
       auto_retrain = true;
     } else if (arg == "--seed" && i + 1 < argc) {
@@ -140,7 +133,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s [--port N] [--host H] [--state DIR] "
                    "[--save-state DIR] [--fast] [--reuse-eps E] "
-                   "[--max-batch N] [--adaptive-batch] "
+                   "[--max-batch N] "
                    "[--family cnn|transformers|all] [--precision f32|f64] "
                    "[--auto-retrain] [--seed S]\n",
                    argv[0]);
@@ -202,14 +195,9 @@ int main(int argc, char** argv) {
   cfg.cache_shards = 8;
   cfg.cache_capacity = 1024;
   cfg.max_batch = static_cast<std::size_t>(max_batch);
-  cfg.adaptive_batch = adaptive_batch;
   cfg.precision = precision;
   std::printf("embed engine: precision=%s dispatch=%s\n",
               ghn::precision_name(precision), simd::active_level_name());
-  if (adaptive_batch) {
-    std::printf("adaptive batching on (dispatch size in [1, %d])\n",
-                max_batch);
-  }
   if (reuse_eps > 0.0) {
     cfg.reuse.enabled = true;
     cfg.reuse.epsilon = reuse_eps;

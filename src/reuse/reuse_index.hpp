@@ -10,8 +10,8 @@
 // time — for the cost of an index probe (µs) instead of a GHN forward pass
 // (ms).  The systems shape follows the SIGMOD'20 collaborative-optimizer
 // reuse rule: load a materialised artifact whenever the load cost beats the
-// recreation cost (see src/reuse/cost_model.hpp for the per-request
-// decision).
+// recreation cost — here a probe (µs) against a GHN forward pass (ms), so
+// with reuse on every cache miss probes.
 //
 // A query arrives *without* an embedding — computing one is exactly the
 // cost being avoided — so the search runs on structure and is two-phase,
@@ -96,8 +96,6 @@ struct ReuseConfig {
   // probe hit counts as a use) is evicted first, so hot donors survive
   // sustained insert pressure.
   std::size_t max_entries = 4096;
-  // Consult the ReuseCostModel before probing (false = always probe).
-  bool use_cost_model = true;
 };
 
 struct ReuseHit {

@@ -228,10 +228,6 @@ void write_metrics(io::BinaryWriter& w, const serve::MetricsSnapshot& m) {
   w.u64(m.embed_batch_graphs);
   w.u64(m.embed_coalesced);
   for (std::uint64_t c : m.embed_batch_size_counts) w.u64(c);
-  w.u64(m.adaptive_decisions);
-  w.u64(m.adaptive_chosen_graphs);
-  w.f64(m.adaptive_arrival_hz);
-  w.f64(m.adaptive_batch_service_ms);
   w.u64(m.reuse_hits);
   w.u64(m.reuse_rejected);
   w.u64(m.reuse_misses);
@@ -290,10 +286,6 @@ serve::MetricsSnapshot read_metrics(io::BinaryReader& r) {
   m.embed_batch_graphs = r.u64();
   m.embed_coalesced = r.u64();
   for (std::uint64_t& c : m.embed_batch_size_counts) c = r.u64();
-  m.adaptive_decisions = r.u64();
-  m.adaptive_chosen_graphs = r.u64();
-  m.adaptive_arrival_hz = r.f64();
-  m.adaptive_batch_service_ms = r.f64();
   m.reuse_hits = r.u64();
   m.reuse_rejected = r.u64();
   m.reuse_misses = r.u64();

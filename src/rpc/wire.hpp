@@ -76,7 +76,9 @@ inline constexpr char kFrameMagic[4] = {'P', 'D', 'R', 'P'};
 // MetricsSnapshot encoding.
 // v8: embed-engine provenance (precision + SIMD dispatch level strings) in
 // the MetricsSnapshot encoding.
-inline constexpr std::uint32_t kProtocolVersion = 8;
+// v9: the four adaptive-batch telemetry fields leave the MetricsSnapshot
+// encoding (the adaptive dispatch sizer was removed).
+inline constexpr std::uint32_t kProtocolVersion = 9;
 // Fixed-size frame prefix: magic (4) + version (4) + body length (4).
 inline constexpr std::size_t kFramePrefixBytes = 12;
 // Envelope overhead beyond the body: prefix + CRC trailer.

@@ -3,25 +3,39 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 namespace pddl::serve {
 
-const std::array<double, LatencyHistogram::kBuckets - 1>&
-LatencyHistogram::bucket_bounds_ms() {
-  // ~Powers of √10 from 0.05 ms to 30 s: dense where cached requests land,
-  // sparse in the tail.
-  static const std::array<double, kBuckets - 1> bounds = {
-      0.05, 0.1,  0.2,  0.5,   1.0,   2.0,    5.0,    10.0,   20.0,  50.0,
-      100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0, 10000.0, 20000.0, 30000.0};
-  return bounds;
+std::size_t LatencyHistogram::bucket_index(double ms) {
+  const double r = ms / kMinMs;
+  if (!(r >= 1.0)) return 0;  // below kMinMs (and NaN)
+  if (!(r < std::ldexp(1.0, static_cast<int>(kOctaves)))) return kBuckets - 1;
+  // r = m·2^e with m in [0.5, 1): octave e−1, and 2m−1 in [0, 1) is the
+  // linear position inside the octave.
+  int e = 0;
+  const double m = std::frexp(r, &e);
+  return 1 + static_cast<std::size_t>(e - 1) * kSubBuckets +
+         static_cast<std::size_t>((2.0 * m - 1.0) * kSubBuckets);
+}
+
+double LatencyHistogram::bucket_lower_ms(std::size_t i) {
+  if (i == 0) return 0.0;
+  if (i >= kBuckets - 1) return std::ldexp(kMinMs, static_cast<int>(kOctaves));
+  const std::size_t octave = (i - 1) / kSubBuckets;
+  const std::size_t sub = (i - 1) % kSubBuckets;
+  return std::ldexp(kMinMs * (1.0 + static_cast<double>(sub) / kSubBuckets),
+                    static_cast<int>(octave));
+}
+
+double LatencyHistogram::bucket_upper_ms(std::size_t i) {
+  return i >= kBuckets - 1 ? std::numeric_limits<double>::infinity()
+                           : bucket_lower_ms(i + 1);
 }
 
 void LatencyHistogram::record(double ms) {
   if (!(ms >= 0.0)) ms = 0.0;  // clamp NaN / negative clock skew
-  const auto& bounds = bucket_bounds_ms();
-  const std::size_t idx =
-      std::upper_bound(bounds.begin(), bounds.end(), ms) - bounds.begin();
-  counts_[idx].fetch_add(1, std::memory_order_relaxed);
+  counts_[bucket_index(ms)].fetch_add(1, std::memory_order_relaxed);
   const auto ns = static_cast<std::uint64_t>(ms * 1e6);
   sum_ns_.fetch_add(ns, std::memory_order_relaxed);
   std::uint64_t prev = max_ns_.load(std::memory_order_relaxed);
@@ -46,19 +60,18 @@ namespace {
 double bucket_quantile(const std::array<std::uint64_t,
                                         LatencyHistogram::kBuckets>& counts,
                        std::uint64_t total, double q, double max_ms) {
-  const auto& bounds = LatencyHistogram::bucket_bounds_ms();
   const double target = q * static_cast<double>(total);
   std::uint64_t cum = 0;
   for (std::size_t i = 0; i < counts.size(); ++i) {
     const std::uint64_t next = cum + counts[i];
     if (static_cast<double>(next) >= target && counts[i] > 0) {
       // Overflow bucket has no upper bound: report the observed max.
-      if (i == bounds.size()) return max_ms;
-      const double lo = i == 0 ? 0.0 : bounds[i - 1];
-      const double hi = bounds[i];
+      if (i == LatencyHistogram::kBuckets - 1) return max_ms;
+      const double lo = LatencyHistogram::bucket_lower_ms(i);
+      const double hi = LatencyHistogram::bucket_upper_ms(i);
       const double frac =
           (target - static_cast<double>(cum)) / static_cast<double>(counts[i]);
-      return lo + std::clamp(frac, 0.0, 1.0) * (std::max(hi, lo) - lo);
+      return lo + std::clamp(frac, 0.0, 1.0) * (hi - lo);
     }
     cum = next;
   }
@@ -183,12 +196,6 @@ void ServiceMetrics::record_embed_batch(std::size_t unique_graphs,
   embed_batch_size_counts[idx].fetch_add(1, std::memory_order_relaxed);
 }
 
-void ServiceMetrics::record_adaptive_choice(std::size_t n) {
-  if (n == 0) return;
-  adaptive_decisions.fetch_add(1, std::memory_order_relaxed);
-  adaptive_chosen_graphs.fetch_add(n, std::memory_order_relaxed);
-}
-
 MetricsSnapshot ServiceMetrics::snapshot() const {
   MetricsSnapshot s;
   s.submitted = submitted.load(std::memory_order_relaxed);
@@ -225,9 +232,6 @@ MetricsSnapshot ServiceMetrics::snapshot() const {
     s.embed_batch_size_counts[i] =
         embed_batch_size_counts[i].load(std::memory_order_relaxed);
   }
-  s.adaptive_decisions = adaptive_decisions.load(std::memory_order_relaxed);
-  s.adaptive_chosen_graphs =
-      adaptive_chosen_graphs.load(std::memory_order_relaxed);
   s.arena_hwm_bytes = arena_hwm_bytes.load(std::memory_order_relaxed);
   s.arena_chunks = arena_chunks.load(std::memory_order_relaxed);
   s.e2e = e2e_ms.snapshot();
@@ -253,12 +257,6 @@ double MetricsSnapshot::mean_embed_batch_width() const {
   if (embed_batches == 0) return 0.0;
   return static_cast<double>(embed_batch_graphs) /
          static_cast<double>(embed_batches);
-}
-
-double MetricsSnapshot::mean_adaptive_choice() const {
-  if (adaptive_decisions == 0) return 0.0;
-  return static_cast<double>(adaptive_chosen_graphs) /
-         static_cast<double>(adaptive_decisions);
 }
 
 std::string MetricsSnapshot::to_string() const {
@@ -321,8 +319,8 @@ std::string MetricsSnapshot::to_string() const {
                   mean_batch_size());
     out += buf;
   }
-  // Batched-embed and adaptive-sizer lines appear only once those paths ran,
-  // so dumps from older configurations keep their exact shape.
+  // The batched-embed line appears only once that path ran, so dumps from
+  // older configurations keep their exact shape.
   if (embed_batches != 0 || embed_coalesced != 0) {
     std::snprintf(buf, sizeof(buf),
                   "  embatch  : batches=%llu graphs=%llu mean_width=%.2f "
@@ -331,15 +329,6 @@ std::string MetricsSnapshot::to_string() const {
                   static_cast<unsigned long long>(embed_batch_graphs),
                   mean_embed_batch_width(),
                   static_cast<unsigned long long>(embed_coalesced));
-    out += buf;
-  }
-  if (adaptive_decisions != 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "  adaptive : decisions=%llu mean_choice=%.2f "
-                  "arrival_hz=%.1f batch_service_ms=%.3f\n",
-                  static_cast<unsigned long long>(adaptive_decisions),
-                  mean_adaptive_choice(), adaptive_arrival_hz,
-                  adaptive_batch_service_ms);
     out += buf;
   }
   // Like rpc, the feedback line only appears once the loop saw traffic.
@@ -374,8 +363,8 @@ std::string MetricsSnapshot::to_string() const {
         static_cast<unsigned long long>(cache_stale_drops));
     out += buf;
   }
-  // Reuse and arena lines appear only once the reuse index / fast-embed
-  // path saw traffic, so pre-reuse dumps keep their exact shape.
+  // Reuse and arena lines appear only once the reuse index / embed path saw
+  // traffic, so pre-reuse dumps keep their exact shape.
   if (reuse_hits != 0 || reuse_rejected != 0 || reuse_misses != 0 ||
       reuse_inserts != 0 || reuse_invalidations != 0 || reuse_entries != 0) {
     std::snprintf(
@@ -530,18 +519,6 @@ std::string MetricsSnapshot::to_json() const {
     out += buf;
   }
   out += "]},";
-  out += "\"adaptive\":{";
-  num("decisions", adaptive_decisions);
-  {
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "\"mean_choice\":%.6f,\"arrival_hz\":%.6f,"
-                  "\"batch_service_ms\":%.6f",
-                  mean_adaptive_choice(), adaptive_arrival_hz,
-                  adaptive_batch_service_ms);
-    out += buf;
-  }
-  out += "},";
   hist("e2e", e2e);
   hist("queue", queue);
   hist("service", service);

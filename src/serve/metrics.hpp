@@ -1,5 +1,5 @@
 // Service metrics (serving-layer observability): lock-free atomic counters
-// and fixed-bucket latency histograms with percentile snapshots.
+// and fixed-layout latency histograms with percentile snapshots.
 //
 // Everything on the record path is a relaxed atomic increment — no locks, no
 // allocation — so instrumenting the service adds nanoseconds per request.
@@ -16,15 +16,26 @@
 
 namespace pddl::serve {
 
-// Histogram over log-spaced latency buckets.  Bounds cover 50 µs .. 30 s,
-// which spans a cached feature-assembly hit (~100 µs) through an uncached
-// GHN forward pass on a deep graph (tens of ms) with headroom.
+// Histogram over log-linear latency buckets (HDR-style).  Bucket 0 holds
+// [0, kMinMs ≈ 1 µs); each power-of-two octave of [kMinMs, 2^16 ms ≈ 65 s)
+// is then split into kSubBuckets equal-width buckets, so no bucket is wider
+// than 1/kSubBuckets (1.6 %) of its lower bound and interpolated quantiles
+// stay accurate from a µs cache-hit lookup to a multi-second cold embed.
+// The last bucket is the overflow.  A sample's bucket comes from its binary
+// exponent in O(1), with no search; kMinMs is a power of two, so every
+// bucket bound is an exact binary fraction.
 class LatencyHistogram {
  public:
-  static constexpr std::size_t kBuckets = 20;
+  static constexpr double kMinMs = 1.0 / 1024;    // 2^-10 ms ≈ 0.98 µs
+  static constexpr std::size_t kOctaves = 26;     // up to 2^16 ms ≈ 65.5 s
+  static constexpr std::size_t kSubBuckets = 64;  // linear buckets per octave
+  static constexpr std::size_t kBuckets = 1 + kOctaves * kSubBuckets + 1;
 
-  // Upper bounds (ms) of buckets 0..kBuckets-2; the last bucket is +inf.
-  static const std::array<double, kBuckets - 1>& bucket_bounds_ms();
+  // Bucket of a latency, and the [lower, upper) bounds of bucket i in ms
+  // (the overflow bucket's upper bound is +inf).
+  static std::size_t bucket_index(double ms);
+  static double bucket_lower_ms(std::size_t i);
+  static double bucket_upper_ms(std::size_t i);
 
   void record(double ms);
 
@@ -38,8 +49,8 @@ class LatencyHistogram {
   };
   Snapshot snapshot() const;
 
-  // Raw bucket counts, index-aligned with bucket_bounds_ms() (last entry is
-  // the overflow bucket).  Exposed for tests and external scrapers.
+  // Raw bucket counts, indexed like bucket_index() (last entry is the
+  // overflow bucket).  Exposed for tests and external scrapers.
   std::array<std::uint64_t, kBuckets> bucket_counts() const;
 
  private:
@@ -140,8 +151,8 @@ struct MetricsSnapshot {
   std::uint64_t reuse_entries = 0;        // live index entries
   DistanceHistogram::Snapshot reuse_distance;  // served neighbour distances
 
-  // ---- scratch-arena high-water mark (tape-free embed path; zero when
-  // fast_embed is off or nothing was embedded) ----
+  // ---- scratch-arena high-water mark (tape-free embed path; zero until
+  // something was embedded) ----
   std::uint64_t arena_hwm_bytes = 0;  // max per-thread arena capacity seen
   std::uint64_t arena_chunks = 0;     // block count at that high-water mark
 
@@ -166,13 +177,6 @@ struct MetricsSnapshot {
   // counts[w-1] = batched passes of exactly w unique graphs; last = overflow.
   std::array<std::uint64_t, kMaxTrackedBatchSize + 1> embed_batch_size_counts{};
 
-  // ---- adaptive batch sizing (zero unless ServiceConfig::adaptive_batch;
-  // gauges are the sizer's live estimates at snapshot time) ----
-  std::uint64_t adaptive_decisions = 0;      // dispatch sizes chosen
-  std::uint64_t adaptive_chosen_graphs = 0;  // Σ of the chosen sizes
-  double adaptive_arrival_hz = 0.0;          // λ̂: admitted-arrival rate EMA
-  double adaptive_batch_service_ms = 0.0;    // Ŝ: per-batch service time EMA
-
   LatencyHistogram::Snapshot e2e;      // admission → response
   LatencyHistogram::Snapshot queue;    // admission → dequeue
   LatencyHistogram::Snapshot service;  // embed + inference only
@@ -194,9 +198,6 @@ struct MetricsSnapshot {
 
   // Mean unique graphs per batched forward pass; 0 when none ran.
   double mean_embed_batch_width() const;
-
-  // Mean dispatch size the adaptive sizer chose; 0 when it never ran.
-  double mean_adaptive_choice() const;
 
   // Multi-line human-readable dump (the "metrics dump" of the example
   // server and the load generator's per-run report).
@@ -248,18 +249,12 @@ class ServiceMetrics {
   std::array<std::atomic<std::uint64_t>, kMaxTrackedBatchSize + 1>
       embed_batch_size_counts{};
 
-  std::atomic<std::uint64_t> adaptive_decisions{0};
-  std::atomic<std::uint64_t> adaptive_chosen_graphs{0};
-
   // One relaxed increment per dispatched micro-batch.
   void record_batch_size(std::size_t n);
 
   // One batched forward pass of `unique_graphs` graphs that additionally
   // satisfied `coalesced` duplicate-fingerprint requests.
   void record_embed_batch(std::size_t unique_graphs, std::size_t coalesced);
-
-  // One adaptive sizer decision of `n` requests.
-  void record_adaptive_choice(std::size_t n);
 
   // Scratch-arena high-water mark (CAS-max, called after each fast embed).
   // Bytes and chunks are tracked as one pair from the same arena so the

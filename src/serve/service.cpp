@@ -10,7 +10,6 @@
 #include "ghn/registry.hpp"
 #include "io/snapshot.hpp"
 #include "io/tensor_io.hpp"
-#include "parallel/parallel_for.hpp"
 #include "tensor/simd.hpp"
 
 namespace pddl::serve {
@@ -56,16 +55,10 @@ PredictionService::PredictionService(core::PredictDdl& engine,
       cfg_(cfg),
       cache_(cfg.cache_shards, cfg.cache_capacity),
       reuse_index_(cfg.reuse),
-      sizer_(AdaptiveBatchConfig{cfg.max_batch}),
       paused_(cfg.start_paused) {
   PDDL_CHECK(cfg_.queue_capacity > 0, "queue capacity must be positive");
   PDDL_CHECK(cfg_.dispatcher_threads > 0, "need at least one dispatcher");
   PDDL_CHECK(cfg_.max_batch > 0, "micro-batch size must be positive");
-  if (cfg_.parallel_embed) {
-    // Dedicated pool: embed groups may already run on engine_.pool(), and
-    // nesting a blocking parallel_for onto the caller's own pool deadlocks.
-    intra_pool_ = std::make_unique<ThreadPool>();
-  }
   dispatchers_.reserve(cfg_.dispatcher_threads);
   for (std::size_t i = 0; i < cfg_.dispatcher_threads; ++i) {
     dispatchers_.emplace_back([this] { dispatcher_loop(); });
@@ -140,12 +133,6 @@ std::future<ServeResult> PredictionService::submit(core::PredictRequest req,
     }
     queue_.push_back(std::move(p));
   }
-  if (cfg_.adaptive_batch) {
-    // Admitted arrivals feed the sizer's rate estimate (rejections don't:
-    // they never become dispatchable work).
-    sizer_.note_arrival(std::chrono::duration<double>(p.enqueued - epoch_)
-                            .count());
-  }
   cv_.notify_one();
   return future;
 }
@@ -167,19 +154,12 @@ void PredictionService::dispatcher_loop() {
         if (stopping_) return;
         continue;
       }
-      std::size_t want = cfg_.max_batch;
-      if (cfg_.adaptive_batch) {
-        want = sizer_.choose(queue_.size());
-        metrics_.record_adaptive_choice(want);
-      }
-      while (!queue_.empty() && batch.size() < want) {
+      while (!queue_.empty() && batch.size() < cfg_.max_batch) {
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
     }
-    Stopwatch sw;
     process_batch(std::move(batch));
-    if (cfg_.adaptive_batch) sizer_.note_batch(sw.millis() / 1000.0);
   }
 }
 
@@ -204,9 +184,8 @@ void PredictionService::process_batch(std::vector<Pending> batch) {
     std::size_t idx = 0;
     graph::CompGraph graph;
     std::uint64_t fp = 0;
-    ghn::Ghn2* ghn = nullptr;
-    // Tape-free engine (when cfg_.fast_embed); like `engine`, the shared_ptr
-    // pins the snapshot this batch resolved even across a concurrent put().
+    // Tape-free engine; like `engine`, the shared_ptr pins the snapshot this
+    // batch resolved even across a concurrent put().
     std::shared_ptr<const ghn::GhnInference> fast;
     std::shared_ptr<const core::InferenceEngine> engine;
     Vector embedding;
@@ -248,8 +227,7 @@ void PredictionService::process_batch(std::vector<Pending> batch) {
     const std::string& dataset = p.req.workload.dataset.name;
     std::shared_ptr<const core::InferenceEngine> engine =
         engine_.engine_if_ready(dataset);
-    ghn::Ghn2* ghn = engine_.registry().model(dataset);
-    if (engine == nullptr || ghn == nullptr) {
+    if (engine == nullptr || !engine_.registry().has_model(dataset)) {
       metrics_.rejected_untrained.fetch_add(1, std::memory_order_relaxed);
       r.status = ServeStatus::kUntrainedDataset;
       r.error = "no fitted predictor for dataset '" + dataset +
@@ -261,11 +239,8 @@ void PredictionService::process_batch(std::vector<Pending> batch) {
     Work w;
     w.idx = i;
     w.engine = std::move(engine);
-    w.ghn = ghn;
     try {
-      if (cfg_.fast_embed) {
-        w.fast = engine_.registry().inference(dataset, cfg_.precision);
-      }
+      w.fast = engine_.registry().inference(dataset, cfg_.precision);
       w.graph = p.req.workload.build_graph();
     } catch (const std::exception& e) {
       metrics_.errors.fetch_add(1, std::memory_order_relaxed);
@@ -275,8 +250,7 @@ void PredictionService::process_batch(std::vector<Pending> batch) {
       continue;
     }
     w.fp = ghn::structural_fingerprint(w.graph);
-    w.ghn_checksum = w.fast != nullptr ? w.fast->source_checksum()
-                                       : ghn::ghn_checksum(*w.ghn);
+    w.ghn_checksum = w.fast->source_checksum();
 
     if (cfg_.cache_enabled) {
       Stopwatch lookup;
@@ -288,21 +262,15 @@ void PredictionService::process_batch(std::vector<Pending> batch) {
     }
     if (!w.cache_hit && reuse_on()) {
       // Near-duplicate path: before paying a GHN forward pass, ask the
-      // reuse index for a within-ε structural neighbour.  The probe is
-      // cost-gated — when the index stops being an order cheaper than
-      // embedding, serving degrades to the plain fresh-embed path.
+      // reuse index for a within-ε structural neighbour.
       w.sig = reuse::make_signature(w.graph);
-      if (!cfg_.reuse.use_cost_model || reuse_cost_.should_probe()) {
-        Stopwatch probe;
-        auto hit = reuse_index_.probe(dataset, w.ghn_checksum, w.fp, w.sig);
-        reuse_cost_.observe_probe_ms(probe.millis());
-        if (hit) {
-          w.embedding = std::move(hit->embedding);
-          w.embed_ms = probe.millis();
-          w.reused = true;
-          w.reuse_distance = hit->distance;
-          metrics_.reuse_distance.record(hit->distance);
-        }
+      Stopwatch probe;
+      if (auto hit = reuse_index_.probe(dataset, w.ghn_checksum, w.fp, w.sig)) {
+        w.embedding = std::move(hit->embedding);
+        w.embed_ms = probe.millis();
+        w.reused = true;
+        w.reuse_distance = hit->distance;
+        metrics_.reuse_distance.record(hit->distance);
       }
     }
     live.push_back(std::move(w));
@@ -341,22 +309,15 @@ void PredictionService::process_batch(std::vector<Pending> batch) {
   // its embedding (bit-identical: same engine, same graph).  A coalesced
   // request still counts as a cache miss — it probed the shard cache and
   // missed — so completed == cache_hits + cache_misses + reuse_hits holds
-  // unchanged; embed_coalesced records the saved forward passes.  Requests
-  // without a tape-free engine (cfg_.fast_embed off) keep the legacy
-  // per-graph tape path on the shared pool.
+  // unchanged; embed_coalesced records the saved forward passes.
   struct MissGroup {
     const ghn::GhnInference* fast = nullptr;
     std::vector<std::size_t> reps;  // indices into `live`: unique fingerprints
     std::vector<std::pair<std::size_t, std::size_t>> dups;  // (dup, its rep)
   };
   std::vector<MissGroup> groups;
-  std::vector<std::size_t> tape_misses;
   for (std::size_t k : misses) {
     Work& w = live[k];
-    if (w.fast == nullptr) {
-      tape_misses.push_back(k);
-      continue;
-    }
     MissGroup* g = nullptr;
     for (MissGroup& cand : groups) {
       if (cand.fast == w.fast.get()) {
@@ -392,8 +353,7 @@ void PredictionService::process_batch(std::vector<Pending> batch) {
       }
       g.fast->embed_batch_into(
           std::span<const graph::CompGraph* const>(gs.data(), gs.size()),
-          std::span<Vector* const>(outs.data(), outs.size()),
-          intra_pool_.get(), cfg_.parallel_embed_min_nodes);
+          std::span<Vector* const>(outs.data(), outs.size()));
       const ghn::ScratchArena& arena = ghn::GhnInference::thread_arena();
       metrics_.note_arena(arena.capacity_bytes(), arena.chunk_count());
     } catch (...) {
@@ -436,42 +396,6 @@ void PredictionService::process_batch(std::vector<Pending> batch) {
     for (MissGroup& g : groups) run_group(g);
   }
 
-  auto embed_tape = [&live](std::size_t k) {
-    Stopwatch sw;
-    Work& w = live[k];
-    w.embedding = w.ghn->embedding(w.graph);
-    w.embed_ms = sw.millis();
-  };
-  if (tape_misses.size() > 1) {
-    std::vector<std::pair<std::size_t, std::future<void>>> tape_inflight;
-    for (std::size_t k : tape_misses) {
-      if (auto f = engine_.pool().try_submit(embed_tape, k)) {
-        tape_inflight.emplace_back(k, std::move(*f));
-      } else {
-        try {
-          embed_tape(k);
-        } catch (...) {
-          miss_errors[k] = std::current_exception();
-        }
-      }
-    }
-    for (auto& [k, f] : tape_inflight) {
-      try {
-        f.get();
-      } catch (...) {
-        miss_errors[k] = std::current_exception();
-      }
-    }
-  } else {
-    for (std::size_t k : tape_misses) {
-      try {
-        embed_tape(k);
-      } catch (...) {
-        miss_errors[k] = std::current_exception();
-      }
-    }
-  }
-
   for (Work& w : live) {
     if (w.expired) continue;  // already finished with kDeadlineExceeded
     Pending& p = batch[w.idx];
@@ -508,18 +432,15 @@ void PredictionService::process_batch(std::vector<Pending> batch) {
       metrics_.embed_miss_ms.record(w.embed_ms);
       if (!w.coalesced) {
         // Coalesced duplicates skip insertion: their representative already
-        // installed this fingerprint's embedding (and priced the fresh-embed
-        // side of the reuse cost model) this dispatch.
+        // installed this fingerprint's embedding this dispatch.
         if (cfg_.cache_enabled) {
           cache_.put(dataset, w.fp, w.ghn_checksum, w.embedding);
         }
         if (reuse_on()) {
           // Insert-on-miss: this freshly embedded architecture becomes a
-          // donor for future near-duplicates, and its embed time prices the
-          // fresh side of the reuse cost model.
+          // donor for future near-duplicates.
           reuse_index_.insert(dataset, w.ghn_checksum, w.fp, w.sig,
                               w.embedding);
-          reuse_cost_.observe_fresh_embed_ms(w.embed_ms);
         }
       }
     }
@@ -554,40 +475,30 @@ std::size_t PredictionService::warm_up(
     graph::CompGraph graph;
     std::uint64_t fp = 0;
     std::uint64_t ghn_checksum = 0;
-    ghn::Ghn2* ghn = nullptr;
     std::shared_ptr<const ghn::GhnInference> fast;
     Vector embedding;
   };
   std::vector<Item> misses;
   for (const workload::DlWorkload& w : workloads) {
-    ghn::Ghn2* ghn = engine_.registry().model(w.dataset.name);
-    if (ghn == nullptr) continue;  // dataset not trained yet — skip
+    if (!engine_.registry().has_model(w.dataset.name)) {
+      continue;  // dataset not trained yet — skip
+    }
     Item item;
     item.dataset = w.dataset.name;
     item.graph = w.build_graph();
     item.fp = ghn::structural_fingerprint(item.graph);
-    item.ghn = ghn;
-    if (cfg_.fast_embed) {
-      item.fast = engine_.registry().inference(item.dataset, cfg_.precision);
-    }
-    item.ghn_checksum = item.fast != nullptr ? item.fast->source_checksum()
-                                             : ghn::ghn_checksum(*ghn);
+    item.fast = engine_.registry().inference(item.dataset, cfg_.precision);
+    item.ghn_checksum = item.fast->source_checksum();
     if (cache_.get(item.dataset, item.fp, item.ghn_checksum)) {
       continue;  // already warm
     }
     misses.push_back(std::move(item));
   }
   // One batched forward pass per engine (same grouping as the dispatcher's
-  // miss path); items without a tape-free engine fall back to per-graph
-  // tape embeds on the pool.
+  // miss path).
   std::vector<std::pair<const ghn::GhnInference*, std::vector<std::size_t>>>
       groups;
-  std::vector<std::size_t> tape_items;
   for (std::size_t i = 0; i < misses.size(); ++i) {
-    if (misses[i].fast == nullptr) {
-      tape_items.push_back(i);
-      continue;
-    }
     const ghn::GhnInference* fast = misses[i].fast.get();
     auto it = std::find_if(groups.begin(), groups.end(),
                            [fast](const auto& g) { return g.first == fast; });
@@ -606,16 +517,11 @@ std::size_t PredictionService::warm_up(
     }
     fast->embed_batch_into(
         std::span<const graph::CompGraph* const>(gs.data(), gs.size()),
-        std::span<Vector* const>(outs.data(), outs.size()), intra_pool_.get(),
-        cfg_.parallel_embed_min_nodes);
+        std::span<Vector* const>(outs.data(), outs.size()));
     const ghn::ScratchArena& arena = ghn::GhnInference::thread_arena();
     metrics_.note_arena(arena.capacity_bytes(), arena.chunk_count());
     metrics_.record_embed_batch(idxs.size(), 0);
   }
-  parallel_for(engine_.pool(), 0, tape_items.size(), [&](std::size_t i) {
-    Item& item = misses[tape_items[i]];
-    item.embedding = item.ghn->embedding(item.graph);
-  });
   for (Item& item : misses) {
     if (reuse_on()) {
       // Warm embeddings double as reuse donors, so the first near-duplicate
@@ -766,8 +672,6 @@ void PredictionService::note_retrain_finished(bool ok) {
 
 MetricsSnapshot PredictionService::metrics() const {
   MetricsSnapshot s = metrics_.snapshot();
-  s.adaptive_arrival_hz = sizer_.arrival_rate_hz();
-  s.adaptive_batch_service_ms = sizer_.batch_service_s() * 1000.0;
   const CacheStats cs = cache_.stats();
   s.cache_entries = cs.entries;
   s.cache_evictions = cs.evictions;

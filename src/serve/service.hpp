@@ -17,7 +17,8 @@
 //      ▼
 //   dispatcher pops ≤ max_batch requests
 //      ├─ dataset without a fitted predictor ──→ kUntrainedDataset
-//      ├─ embedding: shard-cache hit, else GHN forward on the ThreadPool
+//      ├─ embedding: shard-cache hit, else one batched tape-free GHN
+//      │  forward pass per engine (GhnInference::embed_batch_into)
 //      └─ feature assembly + Inference Engine predict ──→ kOk
 //
 // The service never triggers offline training: an online path that can
@@ -45,9 +46,7 @@
 #include "core/predict_ddl.hpp"
 #include "ghn/infer.hpp"
 #include "parallel/thread_pool.hpp"
-#include "reuse/cost_model.hpp"
 #include "reuse/reuse_index.hpp"
-#include "serve/batch_sizer.hpp"
 #include "serve/embedding_cache.hpp"
 #include "serve/metrics.hpp"
 
@@ -90,33 +89,18 @@ struct ServiceConfig {
   std::size_t queue_capacity = 1024;   // admission bound (backpressure knob)
   std::size_t dispatcher_threads = 2;  // queue consumers
   std::size_t max_batch = 8;           // micro-batch size cap per dispatch
-  bool adaptive_batch = false;         // size each dispatch from queue depth,
-                                       // arrival rate, and batch service time
-                                       // (serve/batch_sizer.hpp) instead of
-                                       // always popping up to max_batch
   std::size_t cache_shards = 8;
   std::size_t cache_capacity = 4096;   // total entries across shards
   bool cache_enabled = true;           // false = loadgen baseline mode
-  bool fast_embed = true;              // cache misses use the tape-free
-                                       // GhnInference engine (src/ghn/infer.hpp);
-                                       // false = legacy autograd-tape path
-                                       // (parity baseline / ablations)
   double default_deadline_ms = 0.0;    // 0 = requests never expire
   bool start_paused = false;           // admission on, dispatch off (tests,
                                        // pre-warm before taking traffic)
-  // Numeric precision of the fast-embed engine (DESIGN.md §15).  The
+  // Numeric precision of the tape-free embed engine (DESIGN.md §15).  The
   // library default stays kF64 — bit-compatible with every pre-precision
   // release and the ≤1e-9 tape-parity contract — while the serving CLIs
   // default to kF32, whose predictions track the f64 oracle within the
   // documented error budget at roughly half the embed latency.
   ghn::Precision precision = ghn::Precision::kF64;
-  // Split each embed micro-batch's independent per-node work (BFS sweep,
-  // batched GEMM rows) across a dedicated intra-embed pool when the batch
-  // has ≥ parallel_embed_min_nodes nodes.  Bit-identical to serial; costs
-  // one extra thread pool, so off by default (single big-graph latency
-  // knob, e.g. densenet-sized workloads).
-  bool parallel_embed = false;
-  std::size_t parallel_embed_min_nodes = 256;
   // Near-duplicate reuse (src/reuse/).  Off by default; when enabled,
   // cache-missed requests first probe the reuse index and within-ε
   // neighbours are served with Confidence::kReused instead of paying a GHN
@@ -205,7 +189,6 @@ class PredictionService {
   MetricsSnapshot metrics() const;
   const ShardedEmbeddingCache& cache() const { return cache_; }
   const reuse::ReuseIndex& reuse_index() const { return reuse_index_; }
-  const reuse::ReuseCostModel& reuse_cost_model() const { return reuse_cost_; }
   std::size_t queue_depth() const;
 
  private:
@@ -230,15 +213,7 @@ class PredictionService {
   ServiceConfig cfg_;
   ShardedEmbeddingCache cache_;
   reuse::ReuseIndex reuse_index_;
-  reuse::ReuseCostModel reuse_cost_;
   ServiceMetrics metrics_;
-  AdaptiveBatchSizer sizer_;
-  // Dedicated pool for intra-embed parallelism (cfg_.parallel_embed).  It
-  // must be distinct from engine_.pool(): micro-batch groups may already be
-  // running *on* that pool, and nesting a blocking parallel_for onto the
-  // pool a task runs on can deadlock.
-  std::unique_ptr<ThreadPool> intra_pool_;
-  const Clock::time_point epoch_ = Clock::now();  // sizer time origin
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;

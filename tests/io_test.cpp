@@ -4,6 +4,13 @@
 // and version skew all surface as clean pddl::Error, never as garbage state.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <csignal>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 
@@ -407,6 +414,50 @@ TEST(Snapshot, TrailingGarbageRejected) {
   bytes += "extra";
   std::stringstream ss(bytes);
   EXPECT_THROW(SnapshotReader(ss, "test"), Error);
+}
+
+TEST(Snapshot, FailedSaveLeavesThePreviousFileIntact) {
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("pddl_io_test_" + std::to_string(::getpid()) + ".pddl");
+  auto read_file = [](const std::filesystem::path& p) {
+    std::ifstream is(p, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(is), {});
+  };
+
+  SnapshotWriter a;
+  a.add("state").str("generation A");
+  a.save_file(path.string());
+  const std::string bytes_a = read_file(path);
+  ASSERT_FALSE(bytes_a.empty());
+
+  // Generation B is far larger than the file-size limit set below, so its
+  // write fails partway (EFBIG instead of SIGXFSZ while the signal is
+  // ignored) — the same shape as a full disk or a crash mid-save.
+  SnapshotWriter b;
+  const std::string payload(1 << 16, 'b');
+  b.add("state").raw(payload.data(), payload.size());
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit lowered = saved;
+  lowered.rlim_cur = 4096;
+  void (*const old_handler)(int) = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &lowered), 0);
+  bool threw = false;
+  try {
+    b.save_file(path.string());
+  } catch (const Error&) {
+    threw = true;
+  }
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, old_handler);
+
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(read_file(path), bytes_a);
+  SnapshotReader loaded(path.string());
+  EXPECT_EQ(loaded.reader("state").str(), "generation A");
+  EXPECT_FALSE(std::filesystem::exists(path.string() + ".tmp"));
+  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 
 #include "ghn/registry.hpp"
 #include "reuse/batch_planner.hpp"
-#include "reuse/cost_model.hpp"
 #include "reuse/reuse_index.hpp"
 #include "reuse/signature.hpp"
 #include "serve/service.hpp"
@@ -528,32 +527,6 @@ TEST(ReuseIndex, TransformerProbesStayFamilyDiscriminating) {
                    .has_value());
 }
 
-// ---- cost model ----
-
-TEST(CostModel, ProbesUntilBothSidesArePriced) {
-  ReuseCostModel model;
-  EXPECT_TRUE(model.should_probe());  // nothing observed yet
-  model.observe_fresh_embed_ms(10.0);
-  EXPECT_TRUE(model.should_probe());  // probe side still unpriced
-  model.observe_probe_ms(0.5);
-  // 0.5ms probe * 4x advantage < 10ms embed: probing pays.
-  EXPECT_TRUE(model.should_probe());
-  EXPECT_NEAR(model.embed_ewma_ms(), 10.0, 1e-12);
-  EXPECT_NEAR(model.probe_ewma_ms(), 0.5, 1e-12);
-}
-
-TEST(CostModel, StopsProbingWhenAdvantageEvaporates) {
-  CostModelConfig cfg;
-  cfg.min_advantage = 4.0;
-  ReuseCostModel model(cfg);
-  model.observe_fresh_embed_ms(2.0);
-  model.observe_probe_ms(1.0);  // 1 * 4 >= 2: probing no longer pays
-  EXPECT_FALSE(model.should_probe());
-  // Embeds getting pricier flips the decision back (EWMA moves slowly).
-  for (int i = 0; i < 64; ++i) model.observe_fresh_embed_ms(50.0);
-  EXPECT_TRUE(model.should_probe());
-}
-
 // ---- concurrency ----
 
 // 16 threads hammer insert/probe/invalidate across two datasets and two
@@ -695,7 +668,6 @@ core::PredictRequest make_request(const std::string& model, int servers = 4) {
 serve::ServiceConfig reuse_config() {
   serve::ServiceConfig cfg;
   cfg.reuse.enabled = true;
-  cfg.reuse.use_cost_model = false;  // deterministic probes in tests
   return cfg;
 }
 
@@ -815,26 +787,6 @@ TEST_F(ReuseServeTest, ExactRepeatPrefersCacheOverIndex) {
   EXPECT_TRUE(repeat.cache_hit);
   EXPECT_EQ(repeat.confidence, serve::Confidence::kExact);
   EXPECT_EQ(service.metrics().reuse_hits, 0u);
-}
-
-TEST_F(ReuseServeTest, CostModelStopsUnprofitableProbes) {
-  serve::ServiceConfig cfg = reuse_config();
-  cfg.reuse.use_cost_model = true;
-  serve::PredictionService service(*pddl_, cfg);
-  // Pre-poison the decision: embeds are (claimed) as cheap as probes, so
-  // once both sides are priced the gate must close.
-  // The service owns its cost model, so drive the decision through traffic:
-  // the first fresh embed prices the embed side, the first probe prices the
-  // probe side.  After that, reuse continues only while probing is at least
-  // min_advantage cheaper — with a real GHN embed (ms) vs an index probe
-  // (µs) the gate stays open, which is itself the property to check.
-  ASSERT_TRUE(service.predict(make_request("vgg11")).ok());
-  const serve::ServeResult r = service.predict(make_request("vgg13"));
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.confidence, serve::Confidence::kReused);
-  EXPECT_TRUE(service.reuse_cost_model().should_probe());
-  EXPECT_GT(service.reuse_cost_model().embed_ewma_ms(),
-            service.reuse_cost_model().probe_ewma_ms());
 }
 
 TEST_F(ReuseServeTest, WarmUpPopulatesIndexForNearDuplicates) {

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "rpc/client.hpp"
@@ -357,57 +358,128 @@ TEST(Wire, ResponseWithResultsRoundTrips) {
 }
 
 TEST(Wire, StatsResponseRoundTripsEveryCounter) {
+  // Every MetricsSnapshot field gets a distinct value, so a field the codec
+  // drops, reorders or truncates shows up as a mismatch below.
+  double next = 1.0;
+  auto u = [&next] { return static_cast<std::uint64_t>(next++); };
+  auto d = [&next] { return (next++) + 0.125; };
+  auto hist = [&](serve::LatencyHistogram::Snapshot& h) {
+    h.count = u();
+    h.mean_ms = d();
+    h.p50_ms = d();
+    h.p95_ms = d();
+    h.p99_ms = d();
+    h.max_ms = d();
+  };
   Response resp;
   resp.op = Op::kStats;
-  resp.stats.submitted = 11;
-  resp.stats.completed = 10;
-  resp.stats.cache_hits = 7;
-  resp.stats.rpc_connections_accepted = 3;
-  resp.stats.rpc_frames_received = 42;
-  resp.stats.rpc_frame_errors = 2;
-  resp.stats.rpc_read_timeouts = 1;
-  resp.stats.e2e.count = 10;
-  resp.stats.e2e.p99_ms = 12.5;
-  resp.stats.observations_ingested = 21;
-  resp.stats.observations_rejected = 4;
-  resp.stats.drift_events = 2;
-  resp.stats.refits_started = 3;
-  resp.stats.refits_completed = 2;
-  resp.stats.refits_failed = 1;
-  resp.stats.engine_swaps = 2;
-  resp.stats.batches_dispatched = 9;
-  resp.stats.batch_size_counts[0] = 5;
-  resp.stats.batch_size_counts[7] = 3;
-  resp.stats.batch_size_counts[serve::kMaxTrackedBatchSize] = 1;
-  resp.stats.embed_hit.count = 7;
-  resp.stats.embed_hit.p95_ms = 0.02;
-  resp.stats.embed_miss.count = 3;
-  resp.stats.embed_miss.max_ms = 11.5;
+  serve::MetricsSnapshot& m = resp.stats;
+  for (std::uint64_t* f :
+       {&m.submitted, &m.completed, &m.cache_hits, &m.cache_misses,
+        &m.rejected_queue_full, &m.rejected_untrained, &m.deadline_expired,
+        &m.errors, &m.cache_entries, &m.cache_evictions, &m.cache_stale_drops,
+        &m.rpc_connections_accepted, &m.rpc_connections_active,
+        &m.rpc_connections_rejected, &m.rpc_frames_received,
+        &m.rpc_frames_sent, &m.rpc_frame_errors, &m.rpc_read_timeouts,
+        &m.observations_ingested, &m.observations_rejected, &m.drift_events,
+        &m.refits_started, &m.refits_completed, &m.refits_failed,
+        &m.engine_swaps, &m.ghn_drift_events, &m.retrains_started,
+        &m.retrains_completed, &m.retrains_failed, &m.ghn_swaps,
+        &m.reuse_hits, &m.reuse_rejected, &m.reuse_misses, &m.reuse_inserts,
+        &m.reuse_evictions, &m.reuse_invalidations, &m.reuse_entries,
+        &m.arena_hwm_bytes, &m.arena_chunks, &m.batches_dispatched,
+        &m.embed_batches, &m.embed_batch_graphs, &m.embed_coalesced}) {
+    *f = u();
+  }
+  for (std::uint64_t& c : m.batch_size_counts) c = u();
+  for (std::uint64_t& c : m.embed_batch_size_counts) c = u();
+  m.reuse_distance.count = u();
+  m.reuse_distance.mean = d();
+  m.reuse_distance.p50 = d();
+  m.reuse_distance.p95 = d();
+  m.reuse_distance.p99 = d();
+  m.reuse_distance.max = d();
+  hist(m.e2e);
+  hist(m.queue);
+  hist(m.service);
+  hist(m.embed_hit);
+  hist(m.embed_miss);
+  m.engine_precision = "f32";
+  m.kernel_dispatch = "avx2";
 
-  const Response back = decode_response(encode_response(resp));
-  EXPECT_EQ(back.stats.submitted, 11u);
-  EXPECT_EQ(back.stats.cache_hits, 7u);
-  EXPECT_EQ(back.stats.rpc_connections_accepted, 3u);
-  EXPECT_EQ(back.stats.rpc_frames_received, 42u);
-  EXPECT_EQ(back.stats.rpc_frame_errors, 2u);
-  EXPECT_EQ(back.stats.rpc_read_timeouts, 1u);
-  EXPECT_EQ(back.stats.e2e.count, 10u);
-  EXPECT_EQ(back.stats.e2e.p99_ms, 12.5);
-  EXPECT_EQ(back.stats.observations_ingested, 21u);
-  EXPECT_EQ(back.stats.observations_rejected, 4u);
-  EXPECT_EQ(back.stats.drift_events, 2u);
-  EXPECT_EQ(back.stats.refits_started, 3u);
-  EXPECT_EQ(back.stats.refits_completed, 2u);
-  EXPECT_EQ(back.stats.refits_failed, 1u);
-  EXPECT_EQ(back.stats.engine_swaps, 2u);
-  EXPECT_EQ(back.stats.batches_dispatched, 9u);
-  EXPECT_EQ(back.stats.batch_size_counts[0], 5u);
-  EXPECT_EQ(back.stats.batch_size_counts[7], 3u);
-  EXPECT_EQ(back.stats.batch_size_counts[serve::kMaxTrackedBatchSize], 1u);
-  EXPECT_EQ(back.stats.embed_hit.count, 7u);
-  EXPECT_EQ(back.stats.embed_hit.p95_ms, 0.02);
-  EXPECT_EQ(back.stats.embed_miss.count, 3u);
-  EXPECT_EQ(back.stats.embed_miss.max_ms, 11.5);
+  const serve::MetricsSnapshot back =
+      decode_response(encode_response(resp)).stats;
+  EXPECT_EQ(back.submitted, m.submitted);
+  EXPECT_EQ(back.completed, m.completed);
+  EXPECT_EQ(back.cache_hits, m.cache_hits);
+  EXPECT_EQ(back.cache_misses, m.cache_misses);
+  EXPECT_EQ(back.rejected_queue_full, m.rejected_queue_full);
+  EXPECT_EQ(back.rejected_untrained, m.rejected_untrained);
+  EXPECT_EQ(back.deadline_expired, m.deadline_expired);
+  EXPECT_EQ(back.errors, m.errors);
+  EXPECT_EQ(back.cache_entries, m.cache_entries);
+  EXPECT_EQ(back.cache_evictions, m.cache_evictions);
+  EXPECT_EQ(back.cache_stale_drops, m.cache_stale_drops);
+  EXPECT_EQ(back.rpc_connections_accepted, m.rpc_connections_accepted);
+  EXPECT_EQ(back.rpc_connections_active, m.rpc_connections_active);
+  EXPECT_EQ(back.rpc_connections_rejected, m.rpc_connections_rejected);
+  EXPECT_EQ(back.rpc_frames_received, m.rpc_frames_received);
+  EXPECT_EQ(back.rpc_frames_sent, m.rpc_frames_sent);
+  EXPECT_EQ(back.rpc_frame_errors, m.rpc_frame_errors);
+  EXPECT_EQ(back.rpc_read_timeouts, m.rpc_read_timeouts);
+  EXPECT_EQ(back.observations_ingested, m.observations_ingested);
+  EXPECT_EQ(back.observations_rejected, m.observations_rejected);
+  EXPECT_EQ(back.drift_events, m.drift_events);
+  EXPECT_EQ(back.refits_started, m.refits_started);
+  EXPECT_EQ(back.refits_completed, m.refits_completed);
+  EXPECT_EQ(back.refits_failed, m.refits_failed);
+  EXPECT_EQ(back.engine_swaps, m.engine_swaps);
+  EXPECT_EQ(back.ghn_drift_events, m.ghn_drift_events);
+  EXPECT_EQ(back.retrains_started, m.retrains_started);
+  EXPECT_EQ(back.retrains_completed, m.retrains_completed);
+  EXPECT_EQ(back.retrains_failed, m.retrains_failed);
+  EXPECT_EQ(back.ghn_swaps, m.ghn_swaps);
+  EXPECT_EQ(back.reuse_hits, m.reuse_hits);
+  EXPECT_EQ(back.reuse_rejected, m.reuse_rejected);
+  EXPECT_EQ(back.reuse_misses, m.reuse_misses);
+  EXPECT_EQ(back.reuse_inserts, m.reuse_inserts);
+  EXPECT_EQ(back.reuse_evictions, m.reuse_evictions);
+  EXPECT_EQ(back.reuse_invalidations, m.reuse_invalidations);
+  EXPECT_EQ(back.reuse_entries, m.reuse_entries);
+  EXPECT_EQ(back.arena_hwm_bytes, m.arena_hwm_bytes);
+  EXPECT_EQ(back.arena_chunks, m.arena_chunks);
+  EXPECT_EQ(back.batches_dispatched, m.batches_dispatched);
+  EXPECT_EQ(back.embed_batches, m.embed_batches);
+  EXPECT_EQ(back.embed_batch_graphs, m.embed_batch_graphs);
+  EXPECT_EQ(back.embed_coalesced, m.embed_coalesced);
+  EXPECT_EQ(back.batch_size_counts, m.batch_size_counts);
+  EXPECT_EQ(back.embed_batch_size_counts, m.embed_batch_size_counts);
+  EXPECT_EQ(back.reuse_distance.count, m.reuse_distance.count);
+  EXPECT_EQ(back.reuse_distance.mean, m.reuse_distance.mean);
+  EXPECT_EQ(back.reuse_distance.p50, m.reuse_distance.p50);
+  EXPECT_EQ(back.reuse_distance.p95, m.reuse_distance.p95);
+  EXPECT_EQ(back.reuse_distance.p99, m.reuse_distance.p99);
+  EXPECT_EQ(back.reuse_distance.max, m.reuse_distance.max);
+  const std::pair<const serve::LatencyHistogram::Snapshot*,
+                  const serve::LatencyHistogram::Snapshot*>
+      hists[] = {{&back.e2e, &m.e2e},
+                 {&back.queue, &m.queue},
+                 {&back.service, &m.service},
+                 {&back.embed_hit, &m.embed_hit},
+                 {&back.embed_miss, &m.embed_miss}};
+  for (const auto& [got, want] : hists) {
+    EXPECT_EQ(got->count, want->count);
+    EXPECT_EQ(got->mean_ms, want->mean_ms);
+    EXPECT_EQ(got->p50_ms, want->p50_ms);
+    EXPECT_EQ(got->p95_ms, want->p95_ms);
+    EXPECT_EQ(got->p99_ms, want->p99_ms);
+    EXPECT_EQ(got->max_ms, want->max_ms);
+  }
+  EXPECT_EQ(back.engine_precision, m.engine_precision);
+  EXPECT_EQ(back.kernel_dispatch, m.kernel_dispatch);
+  // The rendered forms agree too, so nothing the dumps show was lost.
+  EXPECT_EQ(back.to_json(), m.to_json());
+  EXPECT_EQ(back.to_string(), m.to_string());
 }
 
 TEST(Wire, ErrorResponseRoundTrips) {
