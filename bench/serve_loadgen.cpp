@@ -131,9 +131,9 @@ void add_row(Table& table, const std::string& run, bool cache,
       .add(static_cast<std::size_t>(s.expired))
       .add(s.throughput_rps(), 1)
       .add(100.0 * s.metrics.cache_hit_rate(), 1)
-      .add(s.metrics.e2e.p50_ms, 3)
-      .add(s.metrics.e2e.p95_ms, 3)
-      .add(s.metrics.e2e.p99_ms, 3);
+      .add(s.metrics.e2e.p50, 3)
+      .add(s.metrics.e2e.p95, 3)
+      .add(s.metrics.e2e.p99, 3);
 }
 
 // T threads, each issuing `rounds` passes over the mix, back-to-back.
@@ -220,9 +220,9 @@ void add_wire_row(Table& table, const std::string& transport,
       .add(s.throughput_rps(), 1)
       .add(us_per_request(s, threads), 1)
       .add(100.0 * s.metrics.cache_hit_rate(), 1)
-      .add(s.metrics.e2e.p50_ms, 3)
-      .add(s.metrics.e2e.p95_ms, 3)
-      .add(s.metrics.e2e.p99_ms, 3);
+      .add(s.metrics.e2e.p50, 3)
+      .add(s.metrics.e2e.p95, 3)
+      .add(s.metrics.e2e.p99, 3);
 }
 
 // The closed loop again, but through the rpc front-end: each thread opens
@@ -451,7 +451,7 @@ int run(double feedback_rate, double feedback_skew, const std::string& family,
       static_cast<unsigned long long>(wire.metrics.rpc_frame_errors));
 
   std::printf("cold-miss (uncached) throughput: %.0f rps (p99 %.3fms)\n",
-              nocache.throughput_rps(), nocache.metrics.e2e.p99_ms);
+              nocache.throughput_rps(), nocache.metrics.e2e.p99);
   const double speedup =
       cached.throughput_rps() / std::max(1e-9, nocache.throughput_rps());
   std::printf(

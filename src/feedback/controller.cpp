@@ -40,7 +40,7 @@ ObserveOutcome FeedbackController::observe(const core::PredictRequest& req,
   ObserveOutcome out;
   if (!std::isfinite(measured_s) || measured_s <= 0.0) {
     out.reason = "measured_seconds must be a positive finite number";
-    service_.note_observation(false);
+    service_.count(&serve::ServiceMetrics::observations_rejected);
     return out;
   }
 
@@ -52,7 +52,7 @@ ObserveOutcome FeedbackController::observe(const core::PredictRequest& req,
     out.reason = "observation could not be scored: " +
                  std::string(serve::to_string(live.status)) +
                  (live.error.empty() ? "" : " (" + live.error + ")");
-    service_.note_observation(false);
+    service_.count(&serve::ServiceMetrics::observations_rejected);
     return out;
   }
 
@@ -66,7 +66,7 @@ ObserveOutcome FeedbackController::observe(const core::PredictRequest& req,
   obs.measured_s = measured_s;
   obs.predicted_s = out.predicted_s;
   log_.append(std::move(obs));
-  service_.note_observation(true);
+  service_.count(&serve::ServiceMetrics::observations_ingested);
 
   const std::string& dataset = req.workload.dataset.name;
   const std::string family = family_of(req.workload.model);
@@ -109,7 +109,7 @@ ObserveOutcome FeedbackController::observe(const core::PredictRequest& req,
       if (drifted_peers == 0 || clean_peers >= drifted_peers) {
         ghn_drift_latched_.insert(family_key);
         out.ghn_drift = true;
-        service_.note_ghn_drift();
+        service_.count(&serve::ServiceMetrics::ghn_drift_events);
         if (cfg_.auto_retrain && retrain_sink_ != nullptr) {
           fire_retrain = retrain_sink_;
         }
@@ -125,7 +125,7 @@ ObserveOutcome FeedbackController::observe(const core::PredictRequest& req,
       // Edge-triggered: one drift event (and at most one queued refit) per
       // crossing.  The detector is reset after a successful refit, so a
       // still-bad model re-crosses and re-triggers.
-      service_.note_drift();
+      service_.count(&serve::ServiceMetrics::drift_events);
       if (cfg_.auto_refit && enqueue_refit_locked(dataset)) {
         fire_refit = true;
         out.refit_triggered = true;
@@ -209,7 +209,7 @@ void FeedbackController::worker_loop() {
     refit_in_progress_ = true;
     ++refits_started_;
     lock.unlock();
-    service_.note_refit_started();
+    service_.count(&serve::ServiceMetrics::refits_started);
     do_refit(dataset);
     lock.lock();
     refit_in_progress_ = false;
@@ -272,14 +272,14 @@ void FeedbackController::do_refit(const std::string& dataset) {
       // retrain loop; the GHN swap path shares this helper).
       snapshot_and_reset_locked(dataset);
     }
-    service_.note_refit_finished(true);
+    service_.count(&serve::ServiceMetrics::refits_completed);
   } catch (const std::exception& e) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++refits_failed_;
       last_error_ = "refit for '" + dataset + "' failed: " + e.what();
     }
-    service_.note_refit_finished(false);
+    service_.count(&serve::ServiceMetrics::refits_failed);
   }
 }
 

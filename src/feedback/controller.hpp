@@ -6,7 +6,7 @@
 //     │  same engine resolution and embedding cache a client would hit)
 //     ├─ append to the bounded ObservationLog (persisted in state.pddl)
 //     ├─ feed |err| and |err|/measured into the dataset's DriftDetector
-//     └─ drift crossing → note_drift() and (if auto_refit) enqueue a refit
+//     └─ drift crossing → count it and (if auto_refit) enqueue a refit
 //
 //   refit (background worker thread, one dataset at a time)
 //     ├─ training set = campaign measurements ⊕ accepted observations
@@ -20,8 +20,8 @@
 // Thread-safety: observe()/request_refit()/status() may be called from any
 // number of threads (rpc handlers, loadgen threads); the refit worker is the
 // only thread that fits and swaps.  Every counter also lands in the
-// service's MetricsSnapshot via the note_* hooks, so stats consumers see
-// feedback activity without a second endpoint.
+// service's MetricsSnapshot via PredictionService::count, so stats consumers
+// see feedback activity without a second endpoint.
 #pragma once
 
 #include <condition_variable>

@@ -2,6 +2,9 @@
 
 #include <bit>
 #include <fstream>
+#include <sstream>
+
+#include "io/atomic_file.hpp"
 
 namespace pddl::ghn {
 
@@ -164,11 +167,11 @@ std::unique_ptr<Ghn2> load_ghn(io::BinaryReader& r) {
 }
 
 void save_ghn(const std::string& path, const Ghn2& ghn) {
-  std::ofstream os(path, std::ios::binary);
-  PDDL_CHECK(os.good(), "cannot open for write: ", path);
+  std::ostringstream os(std::ios::binary);
   io::BinaryWriter w(os);
   save_ghn(w, ghn);
   w.finish_crc();
+  io::write_file_atomic(path, std::move(os).str());
 }
 
 std::unique_ptr<Ghn2> load_ghn(const std::string& path) {

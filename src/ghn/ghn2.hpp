@@ -95,7 +95,8 @@ class Ghn2 final : public nn::Module {
 // Binary serialization of config + parameters via the io layer.  The
 // writer/reader forms are the composable payloads embedded in snapshot
 // sections (core::PredictDdl::save_state); the path forms wrap them in a
-// standalone file with a CRC-32 trailer.
+// standalone file with a CRC-32 trailer, replaced crash-safely
+// (io::write_file_atomic).
 void save_ghn(io::BinaryWriter& w, const Ghn2& ghn);
 std::unique_ptr<Ghn2> load_ghn(io::BinaryReader& r);
 void save_ghn(const std::string& path, const Ghn2& ghn);

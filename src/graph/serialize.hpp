@@ -27,6 +27,7 @@ namespace pddl::graph {
 void save_graph(std::ostream& os, const CompGraph& g);
 CompGraph load_graph(std::istream& is);
 
+// Replaces `path` crash-safely (io::write_file_atomic).
 void save_graph_file(const std::string& path, const CompGraph& g);
 CompGraph load_graph_file(const std::string& path);
 

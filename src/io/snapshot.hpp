@@ -41,10 +41,9 @@ class SnapshotWriter {
   std::size_t num_sections() const { return sections_.size(); }
 
   void save(std::ostream& os) const;
-  // Crash-safe replace: writes `<path>.tmp`, fsyncs it, renames it over
-  // `path` and fsyncs the directory.  rename() is atomic, so `path` holds
-  // either the previous snapshot or the complete new one; a failed save
-  // throws, leaves `path` untouched and removes the temp file.
+  // Crash-safe replace through io::write_file_atomic: `path` holds either
+  // the previous snapshot or the complete new one; a failed save throws,
+  // leaves `path` untouched and removes the temp file.
   void save_file(const std::string& path) const;
 
  private:

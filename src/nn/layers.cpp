@@ -5,7 +5,9 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <sstream>
 
+#include "io/atomic_file.hpp"
 #include "io/tensor_io.hpp"
 
 namespace pddl::nn {
@@ -204,10 +206,10 @@ void load_parameters(std::istream& is, const std::vector<Matrix*>& ps) {
 }
 
 void save_parameters_file(const std::string& path, Module& m) {
-  std::ofstream os(path, std::ios::binary);
-  PDDL_CHECK(os.good(), "cannot open for write: ", path);
+  std::ostringstream os(std::ios::binary);
   auto ps = m.parameters();
   save_parameters(os, {ps.begin(), ps.end()});
+  io::write_file_atomic(path, std::move(os).str());
 }
 
 void load_parameters_file(const std::string& path, Module& m) {

@@ -146,6 +146,7 @@ void save_parameters(io::BinaryWriter& w, const std::vector<const Matrix*>& ps);
 void load_parameters(io::BinaryReader& r, const std::vector<Matrix*>& ps);
 void save_parameters(std::ostream& os, const std::vector<const Matrix*>& ps);
 void load_parameters(std::istream& is, const std::vector<Matrix*>& ps);
+// Replaces `path` crash-safely (io::write_file_atomic).
 void save_parameters_file(const std::string& path, Module& m);
 void load_parameters_file(const std::string& path, Module& m);
 

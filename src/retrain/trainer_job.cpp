@@ -112,7 +112,7 @@ void GhnTrainerJob::worker_loop() {
       in_progress_ = true;
       ++started_;
     }
-    service_.note_retrain_started();
+    service_.count(&serve::ServiceMetrics::retrains_started);
     bool ok = true;
     try {
       do_retrain(item.first, item.second);
@@ -122,7 +122,8 @@ void GhnTrainerJob::worker_loop() {
       ++failed_;
       last_error_ = e.what();
     }
-    service_.note_retrain_finished(ok);
+    service_.count(ok ? &serve::ServiceMetrics::retrains_completed
+                      : &serve::ServiceMetrics::retrains_failed);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       pending_.erase(item);

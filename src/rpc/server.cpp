@@ -83,9 +83,9 @@ void Server::accept_loop() {
       send_response(conn_sock, resp);
       continue;  // Socket destructor closes
     }
-    if (connections_active_.load(std::memory_order_relaxed) >=
+    if (counters_.connections_active.load(std::memory_order_relaxed) >=
         cfg_.max_connections) {
-      connections_rejected_.fetch_add(1, std::memory_order_relaxed);
+      counters_.connections_rejected.fetch_add(1, std::memory_order_relaxed);
       Response resp;
       resp.status = RpcStatus::kRejectedOverloaded;
       resp.message = "connection cap (" +
@@ -94,8 +94,8 @@ void Server::accept_loop() {
       continue;
     }
 
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    connections_active_.fetch_add(1, std::memory_order_relaxed);
+    counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
+    counters_.connections_active.fetch_add(1, std::memory_order_relaxed);
     auto conn = std::make_unique<Conn>();
     conn->sock = std::move(conn_sock);
     Conn* raw = conn.get();
@@ -114,7 +114,7 @@ bool Server::send_response(const Socket& sock, const Response& resp) {
     // see it in frames_sent, so received==sent is observable the moment
     // the last round-trip completes.  A failed send overcounts by one,
     // but that connection is closed immediately anyway.
-    frames_sent_.fetch_add(1, std::memory_order_relaxed);
+    counters_.frames_sent.fetch_add(1, std::memory_order_relaxed);
     send_all(sock, frame.data(), frame.size());
     return true;
   } catch (const std::exception&) {
@@ -220,12 +220,13 @@ void Server::handle_connection(Conn* conn) {
     try {
       rc = recv_exact(conn->sock, prefix, sizeof(prefix));
     } catch (const std::exception&) {
-      frame_errors_.fetch_add(1, std::memory_order_relaxed);  // mid-prefix EOF
+      // mid-prefix EOF
+      counters_.frame_errors.fetch_add(1, std::memory_order_relaxed);
       break;
     }
     if (rc == RecvOutcome::kClosed) break;  // clean disconnect (or drain EOF)
     if (rc == RecvOutcome::kTimeout) {
-      read_timeouts_.fetch_add(1, std::memory_order_relaxed);
+      counters_.read_timeouts.fetch_add(1, std::memory_order_relaxed);
       break;
     }
 
@@ -243,20 +244,20 @@ void Server::handle_connection(Conn* conn) {
       rc = recv_exact(conn->sock, frame.data() + kFramePrefixBytes,
                       frame.size() - kFramePrefixBytes);
       if (rc == RecvOutcome::kTimeout) {
-        read_timeouts_.fetch_add(1, std::memory_order_relaxed);
+        counters_.read_timeouts.fetch_add(1, std::memory_order_relaxed);
         break;
       }
       PDDL_CHECK(rc == RecvOutcome::kOk, "rpc frame truncated by peer close");
       body = decode_frame(frame, cfg_.max_frame_bytes);
     } catch (const std::exception& e) {
-      frame_errors_.fetch_add(1, std::memory_order_relaxed);
+      counters_.frame_errors.fetch_add(1, std::memory_order_relaxed);
       Response resp;
       resp.status = RpcStatus::kBadRequest;
       resp.message = e.what();
       send_response(conn->sock, resp);
       break;
     }
-    frames_received_.fetch_add(1, std::memory_order_relaxed);
+    counters_.frames_received.fetch_add(1, std::memory_order_relaxed);
 
     // 3. Decode the body.  The envelope checked out (CRC-valid), so the
     // stream is still in sync: report the bad body and keep serving.
@@ -265,7 +266,7 @@ void Server::handle_connection(Conn* conn) {
     try {
       req = decode_request(body);
     } catch (const std::exception& e) {
-      frame_errors_.fetch_add(1, std::memory_order_relaxed);
+      counters_.frame_errors.fetch_add(1, std::memory_order_relaxed);
       Response resp;
       resp.status = RpcStatus::kBadRequest;
       resp.message = e.what();
@@ -293,22 +294,13 @@ void Server::handle_connection(Conn* conn) {
     if (!send_response(conn->sock, resp)) break;
     if (req.op == Op::kShutdown) break;  // last frame on this connection
   }
-  connections_active_.fetch_sub(1, std::memory_order_relaxed);
+  counters_.connections_active.fetch_sub(1, std::memory_order_relaxed);
   conn->done.store(true, std::memory_order_release);
 }
 
 serve::MetricsSnapshot Server::metrics() const {
   serve::MetricsSnapshot s = service_.metrics();
-  s.rpc_connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
-  s.rpc_connections_active =
-      connections_active_.load(std::memory_order_relaxed);
-  s.rpc_connections_rejected =
-      connections_rejected_.load(std::memory_order_relaxed);
-  s.rpc_frames_received = frames_received_.load(std::memory_order_relaxed);
-  s.rpc_frames_sent = frames_sent_.load(std::memory_order_relaxed);
-  s.rpc_frame_errors = frame_errors_.load(std::memory_order_relaxed);
-  s.rpc_read_timeouts = read_timeouts_.load(std::memory_order_relaxed);
+  s.fill(counters_);
   return s;
 }
 

@@ -125,15 +125,9 @@ class Server {
   std::mutex conns_mutex_;
   std::list<std::unique_ptr<Conn>> conns_;
 
-  // rpc-layer counters (relaxed increments on the hot path, like
-  // serve::ServiceMetrics).
-  std::atomic<std::uint64_t> connections_accepted_{0};
-  std::atomic<std::uint64_t> connections_active_{0};
-  std::atomic<std::uint64_t> connections_rejected_{0};
-  std::atomic<std::uint64_t> frames_received_{0};
-  std::atomic<std::uint64_t> frames_sent_{0};
-  std::atomic<std::uint64_t> frame_errors_{0};
-  std::atomic<std::uint64_t> read_timeouts_{0};
+  // rpc-layer counters (the RPC rows of the metrics schema; relaxed
+  // increments on the hot path, like serve::ServiceMetrics).
+  serve::RpcCounters counters_;
 };
 
 }  // namespace pddl::rpc

@@ -33,18 +33,26 @@
 //
 //   u8 op (echo) | u8 rpc status | str message | op-specific payload
 //     kPredict / kPredictBatch   u32 n | n × ServeResult
-//     kStats (status ok)         MetricsSnapshot
+//     kStats (status ok)         u32 n | n × (str field | u8 kind | value)
 //     kObserve (status ok)       ObserveOutcome
 //     kRefit (status ok)         bool refit_started
 //     kRefitStatus (status ok)   RefitStatus
 //     kRetrain (status ok)       bool retrain_started
 //     kRetrainStatus (status ok) RetrainStatus
 //
+// The stats payload is self-describing: one entry per row of the metrics
+// schema (serve/metrics.hpp), named by its MetricsSnapshot field and tagged
+// with its MetricKind byte.  A u64 value is a u64, U64S is u32 count + that
+// many u64, a histogram is u64 count + f64 mean/p50/p95/p99/max, a string is
+// a str.  The reader matches entries by name, skips unknown names by kind,
+// and leaves fields the peer did not send at zero.
+//
 // Versioning policy: kProtocolVersion bumps on any incompatible body or
 // envelope change; both endpoints reject mismatched versions with a typed
-// error naming both numbers.  There is no negotiation — the predictor and
-// its schedulers deploy together (ROADMAP: thin transport, no third-party
-// deps), so skew is a bug to surface, not a case to paper over.
+// error naming both numbers.  Adding, removing or reordering metrics is not
+// such a change and no longer bumps it.  There is no negotiation — the
+// predictor and its schedulers deploy together (ROADMAP: thin transport, no
+// third-party deps), so skew is a bug to surface, not a case to paper over.
 #pragma once
 
 #include <string>
@@ -78,7 +86,9 @@ inline constexpr char kFrameMagic[4] = {'P', 'D', 'R', 'P'};
 // the MetricsSnapshot encoding.
 // v9: the four adaptive-batch telemetry fields leave the MetricsSnapshot
 // encoding (the adaptive dispatch sizer was removed).
-inline constexpr std::uint32_t kProtocolVersion = 9;
+// v10: self-describing stats payload (name, kind, value per metric); from
+// here on metrics changes need no version bump.
+inline constexpr std::uint32_t kProtocolVersion = 10;
 // Fixed-size frame prefix: magic (4) + version (4) + body length (4).
 inline constexpr std::size_t kFramePrefixBytes = 12;
 // Envelope overhead beyond the body: prefix + CRC trailer.
@@ -89,6 +99,11 @@ inline constexpr std::size_t kFrameOverheadBytes = kFramePrefixBytes + 4;
 inline constexpr std::size_t kMaxFrameBytes = 8u << 20;
 // Per-frame request-count bound for kPredictBatch.
 inline constexpr std::uint32_t kMaxBatchRequests = 4096;
+// Stats-payload bounds, checked before reading: entries per payload, bytes
+// per metric name, slots per U64S value.
+inline constexpr std::uint32_t kMaxMetricEntries = 4096;
+inline constexpr std::uint32_t kMaxMetricName = 256;
+inline constexpr std::uint32_t kMaxMetricSlots = 4096;
 // Per-cluster server-count bound (the paper's clusters top out at 60).
 inline constexpr std::uint32_t kMaxClusterServers = core::kMaxClusterServers;
 

@@ -39,20 +39,15 @@ std::optional<Vector> ShardedEmbeddingCache::get(const std::string& dataset,
   Shard& s = shard_for(key);
   std::lock_guard<std::mutex> lock(s.mutex);
   auto it = s.index.find(key);
-  if (it == s.index.end()) {
-    ++s.misses;
-    return std::nullopt;
-  }
+  if (it == s.index.end()) return std::nullopt;
   if (it->second->ghn_checksum != ghn_checksum) {
     // Computed under a different GHN: erase rather than serve, so a swap
     // can never leak an old-generation embedding to a caller.
     s.lru.erase(it->second);
     s.index.erase(it);
-    ++s.stale_drops;
-    ++s.misses;
+    ++s.cache_stale_drops;
     return std::nullopt;
   }
-  ++s.hits;
   s.lru.splice(s.lru.begin(), s.lru, it->second);  // promote to MRU
   return it->second->embedding;
 }
@@ -73,11 +68,10 @@ void ShardedEmbeddingCache::put(const std::string& dataset, std::uint64_t fp,
     const Node& victim = s.lru.back();
     s.index.erase(make_key(victim.dataset, victim.fp));
     s.lru.pop_back();
-    ++s.evictions;
+    ++s.cache_evictions;
   }
   s.lru.push_front(Node{dataset, fp, ghn_checksum, std::move(embedding)});
   s.index[key] = s.lru.begin();
-  ++s.inserts;
 }
 
 std::size_t ShardedEmbeddingCache::purge_dataset(const std::string& dataset) {
@@ -120,12 +114,9 @@ CacheStats ShardedEmbeddingCache::stats() const {
   CacheStats out;
   for (const auto& s : shards_) {
     std::lock_guard<std::mutex> lock(s->mutex);
-    out.hits += s->hits;
-    out.misses += s->misses;
-    out.inserts += s->inserts;
-    out.evictions += s->evictions;
-    out.entries += s->lru.size();
-    out.stale_drops += s->stale_drops;
+    out.cache_evictions += s->cache_evictions;
+    out.cache_entries += s->lru.size();
+    out.cache_stale_drops += s->cache_stale_drops;
   }
   return out;
 }

@@ -23,20 +23,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include "serve/metrics.hpp"
 #include "tensor/matrix.hpp"
 
 namespace pddl::serve {
-
-struct CacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t inserts = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t entries = 0;
-  // Entries found but rejected (and erased) because they were computed under
-  // a different GHN than the one now live — see the checksum notes below.
-  std::uint64_t stale_drops = 0;
-};
 
 class ShardedEmbeddingCache {
  public:
@@ -50,10 +40,11 @@ class ShardedEmbeddingCache {
   // Returns the cached embedding and promotes it to most-recently-used —
   // but only when the entry was computed under the GHN identified by
   // `ghn_checksum` (ghn::ghn_checksum of the dataset's registered model).
-  // A checksum mismatch erases the entry (counted in stats().stale_drops)
-  // and reports a miss: after a GHN hot-swap no stale embedding can ever be
-  // served, even if an in-flight batch that still holds the old inference
-  // engine re-inserts between the swap's purge and this lookup.
+  // A checksum mismatch erases the entry (counted in
+  // stats().cache_stale_drops) and reports a miss: after a GHN hot-swap no
+  // stale embedding can ever be served, even if an in-flight batch that
+  // still holds the old inference engine re-inserts between the swap's
+  // purge and this lookup.
   std::optional<Vector> get(const std::string& dataset, std::uint64_t fp,
                             std::uint64_t ghn_checksum);
 
@@ -100,11 +91,8 @@ class ShardedEmbeddingCache {
     mutable std::mutex mutex;
     std::list<Node> lru;  // front = most recently used
     std::unordered_map<std::string, std::list<Node>::iterator> index;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t inserts = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t stale_drops = 0;
+    std::uint64_t cache_evictions = 0;
+    std::uint64_t cache_stale_drops = 0;
   };
 
   static std::string make_key(const std::string& dataset, std::uint64_t fp);

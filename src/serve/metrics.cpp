@@ -4,8 +4,81 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <type_traits>
+
+#include "reuse/reuse_index.hpp"
 
 namespace pddl::serve {
+
+namespace {
+// Count, mean and quantiles from bucket counts: each quantile walks to the
+// bucket holding the q-th sample and interpolates linearly between its
+// bounds.  The overflow bucket (upper bound +inf) reports the observed max,
+// and interpolation is clamped so pXX ≤ max always holds in dumps.
+template <std::size_t N>
+HistogramSnapshot summarize(const std::array<std::uint64_t, N>& counts,
+                            double sum, double max,
+                            double (*lower)(std::size_t),
+                            double (*upper)(std::size_t)) {
+  HistogramSnapshot s;
+  for (std::uint64_t c : counts) s.count += c;
+  s.max = max;
+  if (s.count == 0) return s;
+  s.mean = sum / static_cast<double>(s.count);
+  auto quantile = [&](double q) {
+    const double target = q * static_cast<double>(s.count);
+    std::uint64_t cum = 0;
+    for (std::size_t i = 0; i < N; ++i) {
+      const std::uint64_t next = cum + counts[i];
+      if (static_cast<double>(next) >= target && counts[i] > 0) {
+        const double hi = upper(i);
+        if (std::isinf(hi)) return max;
+        const double lo = lower(i);
+        const double frac = (target - static_cast<double>(cum)) /
+                            static_cast<double>(counts[i]);
+        return std::min(lo + std::clamp(frac, 0.0, 1.0) * (hi - lo), max);
+      }
+      cum = next;
+    }
+    return max;
+  };
+  s.p50 = quantile(0.50);
+  s.p95 = quantile(0.95);
+  s.p99 = quantile(0.99);
+  return s;
+}
+
+// Lock-free max of a fixed-point sample.
+void store_max(std::atomic<std::uint64_t>& max, std::uint64_t v) {
+  std::uint64_t prev = max.load(std::memory_order_relaxed);
+  while (prev < v &&
+         !max.compare_exchange_weak(prev, v, std::memory_order_relaxed)) {
+  }
+}
+
+template <std::size_t N>
+std::array<std::uint64_t, N> load_all(
+    const std::array<std::atomic<std::uint64_t>, N>& a) {
+  std::array<std::uint64_t, N> out{};
+  for (std::size_t i = 0; i < N; ++i) {
+    out[i] = a[i].load(std::memory_order_relaxed);
+  }
+  return out;
+}
+
+// The value a live member contributes to a snapshot.
+std::uint64_t value_of(std::uint64_t v) { return v; }
+std::uint64_t value_of(const std::atomic<std::uint64_t>& a) {
+  return a.load(std::memory_order_relaxed);
+}
+SlotCounts value_of(
+    const std::array<std::atomic<std::uint64_t>, kMaxTrackedBatchSize + 1>&
+        a) {
+  return load_all(a);
+}
+HistogramSnapshot value_of(const LatencyHistogram& h) { return h.snapshot(); }
+HistogramSnapshot value_of(const DistanceHistogram& h) { return h.snapshot(); }
+}  // namespace
 
 std::size_t LatencyHistogram::bucket_index(double ms) {
   const double r = ms / kMinMs;
@@ -38,61 +111,20 @@ void LatencyHistogram::record(double ms) {
   counts_[bucket_index(ms)].fetch_add(1, std::memory_order_relaxed);
   const auto ns = static_cast<std::uint64_t>(ms * 1e6);
   sum_ns_.fetch_add(ns, std::memory_order_relaxed);
-  std::uint64_t prev = max_ns_.load(std::memory_order_relaxed);
-  while (prev < ns &&
-         !max_ns_.compare_exchange_weak(prev, ns, std::memory_order_relaxed)) {
-  }
+  store_max(max_ns_, ns);
 }
 
 std::array<std::uint64_t, LatencyHistogram::kBuckets>
 LatencyHistogram::bucket_counts() const {
-  std::array<std::uint64_t, kBuckets> out{};
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    out[i] = counts_[i].load(std::memory_order_relaxed);
-  }
-  return out;
+  return load_all(counts_);
 }
-
-namespace {
-// Quantile from bucket counts: find the bucket holding the q-th sample and
-// interpolate linearly between its bounds.  The overflow bucket reports its
-// lower bound (refined to max_ms by the caller when it is the last one).
-double bucket_quantile(const std::array<std::uint64_t,
-                                        LatencyHistogram::kBuckets>& counts,
-                       std::uint64_t total, double q, double max_ms) {
-  const double target = q * static_cast<double>(total);
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    const std::uint64_t next = cum + counts[i];
-    if (static_cast<double>(next) >= target && counts[i] > 0) {
-      // Overflow bucket has no upper bound: report the observed max.
-      if (i == LatencyHistogram::kBuckets - 1) return max_ms;
-      const double lo = LatencyHistogram::bucket_lower_ms(i);
-      const double hi = LatencyHistogram::bucket_upper_ms(i);
-      const double frac =
-          (target - static_cast<double>(cum)) / static_cast<double>(counts[i]);
-      return lo + std::clamp(frac, 0.0, 1.0) * (hi - lo);
-    }
-    cum = next;
-  }
-  return max_ms;
-}
-}  // namespace
 
 LatencyHistogram::Snapshot LatencyHistogram::snapshot() const {
-  Snapshot s;
-  const auto counts = bucket_counts();
-  for (std::uint64_t c : counts) s.count += c;
-  s.max_ms = static_cast<double>(max_ns_.load(std::memory_order_relaxed)) / 1e6;
-  if (s.count == 0) return s;
-  s.mean_ms = static_cast<double>(sum_ns_.load(std::memory_order_relaxed)) /
-              1e6 / static_cast<double>(s.count);
-  // Interpolation inside a bucket can overshoot the largest observation;
-  // clamp so pXX ≤ max always holds in dumps.
-  s.p50_ms = std::min(bucket_quantile(counts, s.count, 0.50, s.max_ms), s.max_ms);
-  s.p95_ms = std::min(bucket_quantile(counts, s.count, 0.95, s.max_ms), s.max_ms);
-  s.p99_ms = std::min(bucket_quantile(counts, s.count, 0.99, s.max_ms), s.max_ms);
-  return s;
+  return summarize(
+      bucket_counts(),
+      static_cast<double>(sum_ns_.load(std::memory_order_relaxed)) / 1e6,
+      static_cast<double>(max_ns_.load(std::memory_order_relaxed)) / 1e6,
+      &bucket_lower_ms, &bucket_upper_ms);
 }
 
 const std::array<double, DistanceHistogram::kBuckets - 1>&
@@ -105,6 +137,15 @@ DistanceHistogram::bucket_bounds() {
   return bounds;
 }
 
+double DistanceHistogram::bucket_lower(std::size_t i) {
+  return i == 0 ? 0.0 : bucket_bounds()[i - 1];
+}
+
+double DistanceHistogram::bucket_upper(std::size_t i) {
+  return i >= kBuckets - 1 ? std::numeric_limits<double>::infinity()
+                           : bucket_bounds()[i];
+}
+
 void DistanceHistogram::record(double d) {
   if (!(d >= 0.0)) d = 0.0;  // clamp NaN / negative rounding noise
   const auto& bounds = bucket_bounds();
@@ -113,51 +154,20 @@ void DistanceHistogram::record(double d) {
   counts_[idx].fetch_add(1, std::memory_order_relaxed);
   const auto fixed = static_cast<std::uint64_t>(d * 1e9);
   sum_1e9_.fetch_add(fixed, std::memory_order_relaxed);
-  std::uint64_t prev = max_1e9_.load(std::memory_order_relaxed);
-  while (prev < fixed && !max_1e9_.compare_exchange_weak(
-                             prev, fixed, std::memory_order_relaxed)) {
-  }
+  store_max(max_1e9_, fixed);
 }
 
 std::array<std::uint64_t, DistanceHistogram::kBuckets>
 DistanceHistogram::bucket_counts() const {
-  std::array<std::uint64_t, kBuckets> out{};
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    out[i] = counts_[i].load(std::memory_order_relaxed);
-  }
-  return out;
+  return load_all(counts_);
 }
 
 DistanceHistogram::Snapshot DistanceHistogram::snapshot() const {
-  Snapshot s;
-  const auto counts = bucket_counts();
-  for (std::uint64_t c : counts) s.count += c;
-  s.max = static_cast<double>(max_1e9_.load(std::memory_order_relaxed)) / 1e9;
-  if (s.count == 0) return s;
-  s.mean = static_cast<double>(sum_1e9_.load(std::memory_order_relaxed)) /
-           1e9 / static_cast<double>(s.count);
-  const auto& bounds = bucket_bounds();
-  auto quantile = [&](double q) {
-    const double target = q * static_cast<double>(s.count);
-    std::uint64_t cum = 0;
-    for (std::size_t i = 0; i < counts.size(); ++i) {
-      const std::uint64_t next = cum + counts[i];
-      if (static_cast<double>(next) >= target && counts[i] > 0) {
-        if (i == bounds.size()) return s.max;
-        const double lo = i == 0 ? 0.0 : bounds[i - 1];
-        const double hi = bounds[i];
-        const double frac = (target - static_cast<double>(cum)) /
-                            static_cast<double>(counts[i]);
-        return lo + std::clamp(frac, 0.0, 1.0) * (hi - lo);
-      }
-      cum = next;
-    }
-    return s.max;
-  };
-  s.p50 = std::min(quantile(0.50), s.max);
-  s.p95 = std::min(quantile(0.95), s.max);
-  s.p99 = std::min(quantile(0.99), s.max);
-  return s;
+  return summarize(
+      bucket_counts(),
+      static_cast<double>(sum_1e9_.load(std::memory_order_relaxed)) / 1e9,
+      static_cast<double>(max_1e9_.load(std::memory_order_relaxed)) / 1e9,
+      &bucket_lower, &bucket_upper);
 }
 
 void ServiceMetrics::note_arena(std::size_t capacity_bytes,
@@ -198,49 +208,33 @@ void ServiceMetrics::record_embed_batch(std::size_t unique_graphs,
 
 MetricsSnapshot ServiceMetrics::snapshot() const {
   MetricsSnapshot s;
-  s.submitted = submitted.load(std::memory_order_relaxed);
-  s.completed = completed.load(std::memory_order_relaxed);
-  s.cache_hits = cache_hits.load(std::memory_order_relaxed);
-  s.cache_misses = cache_misses.load(std::memory_order_relaxed);
-  s.rejected_queue_full = rejected_queue_full.load(std::memory_order_relaxed);
-  s.rejected_untrained = rejected_untrained.load(std::memory_order_relaxed);
-  s.deadline_expired = deadline_expired.load(std::memory_order_relaxed);
-  s.errors = errors.load(std::memory_order_relaxed);
-  s.observations_ingested =
-      observations_ingested.load(std::memory_order_relaxed);
-  s.observations_rejected =
-      observations_rejected.load(std::memory_order_relaxed);
-  s.drift_events = drift_events.load(std::memory_order_relaxed);
-  s.refits_started = refits_started.load(std::memory_order_relaxed);
-  s.refits_completed = refits_completed.load(std::memory_order_relaxed);
-  s.refits_failed = refits_failed.load(std::memory_order_relaxed);
-  s.engine_swaps = engine_swaps.load(std::memory_order_relaxed);
-  s.ghn_drift_events = ghn_drift_events.load(std::memory_order_relaxed);
-  s.retrains_started = retrains_started.load(std::memory_order_relaxed);
-  s.retrains_completed = retrains_completed.load(std::memory_order_relaxed);
-  s.retrains_failed = retrains_failed.load(std::memory_order_relaxed);
-  s.ghn_swaps = ghn_swaps.load(std::memory_order_relaxed);
-  s.batches_dispatched = batches_dispatched.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < s.batch_size_counts.size(); ++i) {
-    s.batch_size_counts[i] =
-        batch_size_counts[i].load(std::memory_order_relaxed);
-  }
-  s.embed_batches = embed_batches.load(std::memory_order_relaxed);
-  s.embed_batch_graphs = embed_batch_graphs.load(std::memory_order_relaxed);
-  s.embed_coalesced = embed_coalesced.load(std::memory_order_relaxed);
-  for (std::size_t i = 0; i < s.embed_batch_size_counts.size(); ++i) {
-    s.embed_batch_size_counts[i] =
-        embed_batch_size_counts[i].load(std::memory_order_relaxed);
-  }
-  s.arena_hwm_bytes = arena_hwm_bytes.load(std::memory_order_relaxed);
-  s.arena_chunks = arena_chunks.load(std::memory_order_relaxed);
-  s.e2e = e2e_ms.snapshot();
-  s.queue = queue_ms.snapshot();
-  s.service = service_ms.snapshot();
-  s.embed_hit = embed_hit_ms.snapshot();
-  s.embed_miss = embed_miss_ms.snapshot();
-  s.reuse_distance = reuse_distance.snapshot();
+  s.fill(*this);
   return s;
+}
+
+#define PDDL_METRIC_COPY_FIELD(field, section, key, kind) \
+  field = value_of(src.field);
+#define PDDL_METRIC_COPY_KEY(field, section, key, kind) \
+  field = value_of(src.key);
+
+void MetricsSnapshot::fill(const ServiceMetrics& src) {
+  PDDL_METRICS(PDDL_METRIC_COPY_FIELD, PDDL_METRIC_SKIP, PDDL_METRIC_SKIP,
+               PDDL_METRIC_SKIP, PDDL_METRIC_SKIP)
+}
+
+void MetricsSnapshot::fill(const CacheStats& src) {
+  PDDL_METRICS(PDDL_METRIC_SKIP, PDDL_METRIC_COPY_KEY, PDDL_METRIC_SKIP,
+               PDDL_METRIC_SKIP, PDDL_METRIC_SKIP)
+}
+
+void MetricsSnapshot::fill(const reuse::ReuseStats& src) {
+  PDDL_METRICS(PDDL_METRIC_SKIP, PDDL_METRIC_SKIP, PDDL_METRIC_COPY_KEY,
+               PDDL_METRIC_SKIP, PDDL_METRIC_SKIP)
+}
+
+void MetricsSnapshot::fill(const RpcCounters& src) {
+  PDDL_METRICS(PDDL_METRIC_SKIP, PDDL_METRIC_SKIP, PDDL_METRIC_SKIP,
+               PDDL_METRIC_COPY_KEY, PDDL_METRIC_SKIP)
 }
 
 double MetricsSnapshot::mean_batch_size() const {
@@ -259,273 +253,156 @@ double MetricsSnapshot::mean_embed_batch_width() const {
          static_cast<double>(embed_batches);
 }
 
+namespace {
+std::string strprintf(const char* fmt, auto... args) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf), fmt, args...);
+  return buf;
+}
+
+std::string u64_text(std::uint64_t v) {
+  return strprintf("%llu", static_cast<unsigned long long>(v));
+}
+
+// Histograms render in their unit: ms for LATENCY rows, unitless for
+// DISTANCE rows (which need more digits for near-zero distances).
+std::string histogram_text(const HistogramSnapshot& h, MetricKind kind) {
+  const bool ms = kind == MetricKind::LATENCY;
+  const char* unit = ms ? "ms" : "";
+  const int digits = ms ? 3 : 4;
+  return strprintf("n=%llu mean=%.*f%s p50=%.*f%s p95=%.*f%s p99=%.*f%s "
+                "max=%.*f%s",
+                static_cast<unsigned long long>(h.count), digits, h.mean,
+                unit, digits, h.p50, unit, digits, h.p95, unit, digits, h.p99,
+                unit, digits, h.max, unit);
+}
+
+std::string histogram_json(const HistogramSnapshot& h, MetricKind kind) {
+  const bool ms = kind == MetricKind::LATENCY;
+  const char* unit = ms ? "_ms" : "";
+  const int digits = ms ? 6 : 9;
+  return strprintf("{\"count\":%llu,\"mean%s\":%.*f,\"p50%s\":%.*f,"
+                "\"p95%s\":%.*f,\"p99%s\":%.*f,\"max%s\":%.*f}",
+                static_cast<unsigned long long>(h.count), unit, digits, h.mean,
+                unit, digits, h.p50, unit, digits, h.p95, unit, digits, h.p99,
+                unit, digits, h.max);
+}
+
+// Slot counts in text drop their trailing zeros; JSON keeps every slot.
+std::string slots_text(const SlotCounts& c, bool trim) {
+  std::size_t n = c.size();
+  while (trim && n > 0 && c[n - 1] == 0) --n;
+  std::string out = "[";
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i != 0) out += ',';
+    out += u64_text(c[i]);
+  }
+  return out + "]";
+}
+
+std::string json_string(const std::string& s) {
+  std::string out = "\"";
+  for (char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    if (static_cast<unsigned char>(c) >= 0x20) out += c;
+  }
+  return out + "\"";
+}
+
+template <class T>
+bool is_zero(const T& v) {
+  if constexpr (std::is_same_v<T, SlotCounts>) {
+    return std::all_of(v.begin(), v.end(),
+                       [](std::uint64_t c) { return c == 0; });
+  } else if constexpr (std::is_same_v<T, HistogramSnapshot>) {
+    return v.count == 0;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return v.empty();
+  } else {
+    return v == 0;
+  }
+}
+
+// One value as dump text (json = false) or as JSON.
+template <class T>
+std::string render(const T& v, MetricKind kind, bool json) {
+  if constexpr (std::is_same_v<T, HistogramSnapshot>) {
+    return json ? histogram_json(v, kind) : histogram_text(v, kind);
+  } else if constexpr (std::is_same_v<T, SlotCounts>) {
+    return slots_text(v, /*trim=*/!json);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return json ? json_string(v) : v;
+  } else {
+    return u64_text(v);
+  }
+}
+
+std::string label(const std::string& name) {
+  return strprintf("  %-9s: ", name.c_str());
+}
+}  // namespace
+
 std::string MetricsSnapshot::to_string() const {
-  char buf[2048];
-  auto line = [&buf](const LatencyHistogram::Snapshot& h) {
-    char lbuf[256];
-    std::snprintf(lbuf, sizeof(lbuf),
-                  "n=%llu mean=%.3fms p50=%.3fms p95=%.3fms p99=%.3fms "
-                  "max=%.3fms",
-                  static_cast<unsigned long long>(h.count), h.mean_ms,
-                  h.p50_ms, h.p95_ms, h.p99_ms, h.max_ms);
-    return std::string(lbuf);
+  std::string out = "serve metrics\n";
+  std::string section;
+  std::string line;        // the current section's scalar rows
+  std::string histograms;  // its histogram rows, one line each
+  bool nonzero = false;
+  auto flush = [&] {
+    if (nonzero) {
+      out += label(section.empty() ? "requests" : section) + line + "\n";
+    }
+    out += histograms;
+    line.clear();
+    histograms.clear();
+    nonzero = false;
   };
-  std::snprintf(
-      buf, sizeof(buf),
-      "serve metrics\n"
-      "  requests : submitted=%llu completed=%llu errors=%llu\n"
-      "  rejected : queue_full=%llu untrained=%llu deadline=%llu\n"
-      "  cache    : hits=%llu misses=%llu hit_rate=%.1f%% entries=%llu "
-      "evictions=%llu\n"
-      "  e2e      : %s\n"
-      "  queue    : %s\n"
-      "  service  : %s\n"
-      "  embed hit: %s\n"
-      "  embed mis: %s\n",
-      static_cast<unsigned long long>(submitted),
-      static_cast<unsigned long long>(completed),
-      static_cast<unsigned long long>(errors),
-      static_cast<unsigned long long>(rejected_queue_full),
-      static_cast<unsigned long long>(rejected_untrained),
-      static_cast<unsigned long long>(deadline_expired),
-      static_cast<unsigned long long>(cache_hits),
-      static_cast<unsigned long long>(cache_misses), 100.0 * cache_hit_rate(),
-      static_cast<unsigned long long>(cache_entries),
-      static_cast<unsigned long long>(cache_evictions), line(e2e).c_str(),
-      line(queue).c_str(), line(service).c_str(), line(embed_hit).c_str(),
-      line(embed_miss).c_str());
-  std::string out = buf;
-  // The rpc line only appears when a transport actually served traffic, so
-  // in-process dumps are unchanged.
-  if (rpc_connections_accepted != 0 || rpc_connections_rejected != 0 ||
-      rpc_frame_errors != 0) {
-    std::snprintf(
-        buf, sizeof(buf),
-        "  rpc      : conns=%llu active=%llu rejected=%llu frames_in=%llu "
-        "frames_out=%llu frame_errors=%llu read_timeouts=%llu\n",
-        static_cast<unsigned long long>(rpc_connections_accepted),
-        static_cast<unsigned long long>(rpc_connections_active),
-        static_cast<unsigned long long>(rpc_connections_rejected),
-        static_cast<unsigned long long>(rpc_frames_received),
-        static_cast<unsigned long long>(rpc_frames_sent),
-        static_cast<unsigned long long>(rpc_frame_errors),
-        static_cast<unsigned long long>(rpc_read_timeouts));
-    out += buf;
-  }
-  if (batches_dispatched != 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "  batch    : dispatched=%llu mean_size=%.2f\n",
-                  static_cast<unsigned long long>(batches_dispatched),
-                  mean_batch_size());
-    out += buf;
-  }
-  // The batched-embed line appears only once that path ran, so dumps from
-  // older configurations keep their exact shape.
-  if (embed_batches != 0 || embed_coalesced != 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "  embatch  : batches=%llu graphs=%llu mean_width=%.2f "
-                  "coalesced=%llu\n",
-                  static_cast<unsigned long long>(embed_batches),
-                  static_cast<unsigned long long>(embed_batch_graphs),
-                  mean_embed_batch_width(),
-                  static_cast<unsigned long long>(embed_coalesced));
-    out += buf;
-  }
-  // Like rpc, the feedback line only appears once the loop saw traffic.
-  if (observations_ingested != 0 || observations_rejected != 0 ||
-      refits_started != 0) {
-    std::snprintf(
-        buf, sizeof(buf),
-        "  feedback : observed=%llu rejected=%llu drift_events=%llu "
-        "refits=%llu/%llu (failed=%llu) engine_swaps=%llu\n",
-        static_cast<unsigned long long>(observations_ingested),
-        static_cast<unsigned long long>(observations_rejected),
-        static_cast<unsigned long long>(drift_events),
-        static_cast<unsigned long long>(refits_completed),
-        static_cast<unsigned long long>(refits_started),
-        static_cast<unsigned long long>(refits_failed),
-        static_cast<unsigned long long>(engine_swaps));
-    out += buf;
-  }
-  // Retrain line: only once the GHN retrain loop saw activity, so dumps from
-  // servers without --auto-retrain keep their exact shape.
-  if (ghn_drift_events != 0 || retrains_started != 0 || ghn_swaps != 0 ||
-      cache_stale_drops != 0) {
-    std::snprintf(
-        buf, sizeof(buf),
-        "  retrain  : ghn_drift=%llu retrains=%llu/%llu (failed=%llu) "
-        "ghn_swaps=%llu cache_stale_drops=%llu\n",
-        static_cast<unsigned long long>(ghn_drift_events),
-        static_cast<unsigned long long>(retrains_completed),
-        static_cast<unsigned long long>(retrains_started),
-        static_cast<unsigned long long>(retrains_failed),
-        static_cast<unsigned long long>(ghn_swaps),
-        static_cast<unsigned long long>(cache_stale_drops));
-    out += buf;
-  }
-  // Reuse and arena lines appear only once the reuse index / embed path saw
-  // traffic, so pre-reuse dumps keep their exact shape.
-  if (reuse_hits != 0 || reuse_rejected != 0 || reuse_misses != 0 ||
-      reuse_inserts != 0 || reuse_invalidations != 0 || reuse_entries != 0) {
-    std::snprintf(
-        buf, sizeof(buf),
-        "  reuse    : hits=%llu rejected=%llu misses=%llu entries=%llu "
-        "inserts=%llu evictions=%llu invalidations=%llu dist_p50=%.4f "
-        "dist_max=%.4f\n",
-        static_cast<unsigned long long>(reuse_hits),
-        static_cast<unsigned long long>(reuse_rejected),
-        static_cast<unsigned long long>(reuse_misses),
-        static_cast<unsigned long long>(reuse_entries),
-        static_cast<unsigned long long>(reuse_inserts),
-        static_cast<unsigned long long>(reuse_evictions),
-        static_cast<unsigned long long>(reuse_invalidations),
-        reuse_distance.p50, reuse_distance.max);
-    out += buf;
-  }
-  if (arena_hwm_bytes != 0) {
-    std::snprintf(buf, sizeof(buf),
-                  "  arena    : hwm_bytes=%llu chunks=%llu\n",
-                  static_cast<unsigned long long>(arena_hwm_bytes),
-                  static_cast<unsigned long long>(arena_chunks));
-    out += buf;
-  }
-  // Engine line: only service-level snapshots fill these, so raw
-  // ServiceMetrics dumps (and pre-precision fixtures) keep their shape.
-  if (!engine_precision.empty() || !kernel_dispatch.empty()) {
-    std::snprintf(buf, sizeof(buf), "  engine   : precision=%s dispatch=%s\n",
-                  engine_precision.c_str(), kernel_dispatch.c_str());
-    out += buf;
-  }
+  for_each_field([&](const MetricField& f, const auto& v) {
+    if (section != f.section) {
+      flush();
+      section = f.section;
+    }
+    const std::string text = render(v, f.kind, /*json=*/false);
+    if constexpr (std::is_same_v<std::decay_t<decltype(v)>,
+                                 HistogramSnapshot>) {
+      if (v.count == 0) return;
+      histograms +=
+          label(section.empty() ? f.key : section + "." + f.key) + text + "\n";
+    } else {
+      if (!line.empty()) line += ' ';
+      line += std::string(f.key) + '=' + text;
+      nonzero = nonzero || !is_zero(v);
+    }
+  });
+  flush();
   return out;
 }
 
 std::string MetricsSnapshot::to_json() const {
   std::string out = "{";
-  auto num = [&out](const char* key, std::uint64_t v, bool comma = true) {
-    char buf[96];
-    std::snprintf(buf, sizeof(buf), "\"%s\":%llu%s", key,
-                  static_cast<unsigned long long>(v), comma ? "," : "");
-    out += buf;
+  std::string section;
+  bool top_first = true;
+  bool inner_first = true;
+  auto key = [&out](bool& first, const std::string& k) {
+    if (!first) out += ',';
+    first = false;
+    out += '"' + k + "\":";
   };
-  auto hist = [&out](const char* key, const LatencyHistogram::Snapshot& h,
-                     bool comma = true) {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "\"%s\":{\"count\":%llu,\"mean_ms\":%.6f,\"p50_ms\":%.6f,"
-                  "\"p95_ms\":%.6f,\"p99_ms\":%.6f,\"max_ms\":%.6f}%s",
-                  key, static_cast<unsigned long long>(h.count), h.mean_ms,
-                  h.p50_ms, h.p95_ms, h.p99_ms, h.max_ms, comma ? "," : "");
-    out += buf;
-  };
-  num("submitted", submitted);
-  num("completed", completed);
-  num("cache_hits", cache_hits);
-  num("cache_misses", cache_misses);
-  {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "\"cache_hit_rate\":%.6f,",
-                  cache_hit_rate());
-    out += buf;
-  }
-  num("rejected_queue_full", rejected_queue_full);
-  num("rejected_untrained", rejected_untrained);
-  num("deadline_expired", deadline_expired);
-  num("errors", errors);
-  num("cache_entries", cache_entries);
-  num("cache_evictions", cache_evictions);
-  num("cache_stale_drops", cache_stale_drops);
-  out += "\"rpc\":{";
-  num("connections_accepted", rpc_connections_accepted);
-  num("connections_active", rpc_connections_active);
-  num("connections_rejected", rpc_connections_rejected);
-  num("frames_received", rpc_frames_received);
-  num("frames_sent", rpc_frames_sent);
-  num("frame_errors", rpc_frame_errors);
-  num("read_timeouts", rpc_read_timeouts, /*comma=*/false);
-  out += "},";
-  out += "\"feedback\":{";
-  num("observations_ingested", observations_ingested);
-  num("observations_rejected", observations_rejected);
-  num("drift_events", drift_events);
-  num("refits_started", refits_started);
-  num("refits_completed", refits_completed);
-  num("refits_failed", refits_failed);
-  num("engine_swaps", engine_swaps, /*comma=*/false);
-  out += "},";
-  out += "\"retrain\":{";
-  num("ghn_drift_events", ghn_drift_events);
-  num("retrains_started", retrains_started);
-  num("retrains_completed", retrains_completed);
-  num("retrains_failed", retrains_failed);
-  num("ghn_swaps", ghn_swaps, /*comma=*/false);
-  out += "},";
-  out += "\"reuse\":{";
-  num("hits", reuse_hits);
-  num("rejected", reuse_rejected);
-  num("misses", reuse_misses);
-  num("inserts", reuse_inserts);
-  num("evictions", reuse_evictions);
-  num("invalidations", reuse_invalidations);
-  num("entries", reuse_entries);
-  {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "\"distance\":{\"count\":%llu,\"mean\":%.9f,\"p50\":%.9f,"
-                  "\"p95\":%.9f,\"p99\":%.9f,\"max\":%.9f}",
-                  static_cast<unsigned long long>(reuse_distance.count),
-                  reuse_distance.mean, reuse_distance.p50, reuse_distance.p95,
-                  reuse_distance.p99, reuse_distance.max);
-    out += buf;
-  }
-  out += "},";
-  out += "\"arena\":{";
-  num("hwm_bytes", arena_hwm_bytes);
-  num("chunks", arena_chunks, /*comma=*/false);
-  out += "},";
-  out += "\"engine\":{\"precision\":\"" + engine_precision +
-         "\",\"dispatch\":\"" + kernel_dispatch + "\"},";
-  out += "\"batch\":{";
-  num("dispatched", batches_dispatched);
-  {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "\"mean_size\":%.6f,", mean_batch_size());
-    out += buf;
-  }
-  out += "\"size_counts\":[";
-  for (std::size_t i = 0; i < batch_size_counts.size(); ++i) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%llu%s",
-                  static_cast<unsigned long long>(batch_size_counts[i]),
-                  i + 1 < batch_size_counts.size() ? "," : "");
-    out += buf;
-  }
-  out += "]},";
-  out += "\"embed_batch\":{";
-  num("batches", embed_batches);
-  num("graphs", embed_batch_graphs);
-  num("coalesced", embed_coalesced);
-  {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "\"mean_width\":%.6f,",
-                  mean_embed_batch_width());
-    out += buf;
-  }
-  out += "\"width_counts\":[";
-  for (std::size_t i = 0; i < embed_batch_size_counts.size(); ++i) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%llu%s",
-                  static_cast<unsigned long long>(embed_batch_size_counts[i]),
-                  i + 1 < embed_batch_size_counts.size() ? "," : "");
-    out += buf;
-  }
-  out += "]},";
-  hist("e2e", e2e);
-  hist("queue", queue);
-  hist("service", service);
-  hist("embed_hit", embed_hit);
-  hist("embed_miss", embed_miss, /*comma=*/false);
-  out += "}";
-  return out;
+  for_each_field([&](const MetricField& f, const auto& v) {
+    if (section != f.section) {
+      if (!section.empty()) out += '}';
+      section = f.section;
+      if (!section.empty()) {
+        key(top_first, section);
+        out += '{';
+        inner_first = true;
+      }
+    }
+    key(section.empty() ? top_first : inner_first, f.key);
+    out += render(v, f.kind, /*json=*/true);
+  });
+  if (!section.empty()) out += '}';
+  return out + "}";
 }
 
 }  // namespace pddl::serve

@@ -1,12 +1,13 @@
 // Service metrics (serving-layer observability): lock-free atomic counters
-// and fixed-layout latency histograms with percentile snapshots.
+// and fixed-layout histograms with percentile snapshots, all described by
+// one schema table (PDDL_METRICS below).
 //
-// Everything on the record path is a relaxed atomic increment — no locks, no
-// allocation — so instrumenting the service adds nanoseconds per request.
-// Reading is snapshot-based: snapshot() copies the counters once and derives
-// p50/p95/p99 from the bucket counts (linear interpolation inside a bucket),
-// so a concurrent reader sees a consistent-enough view without stalling
-// writers.
+// Everything on the record path is a relaxed atomic increment on a named
+// member — no locks, no allocation, no lookup — so instrumenting the service
+// adds nanoseconds per request.  Reading is snapshot-based: snapshot() copies
+// the counters once and derives p50/p95/p99 from the bucket counts (linear
+// interpolation inside a bucket), so a concurrent reader sees a
+// consistent-enough view without stalling writers.
 #pragma once
 
 #include <array>
@@ -14,7 +15,22 @@
 #include <cstdint>
 #include <string>
 
+namespace pddl::reuse {
+struct ReuseStats;
+}
+
 namespace pddl::serve {
+
+// Count, mean, p50/p95/p99 and max of one histogram, in the histogram's unit
+// (ms for LatencyHistogram, unitless for DistanceHistogram).
+struct HistogramSnapshot {
+  std::uint64_t count = 0;
+  double mean = 0.0;
+  double p50 = 0.0;
+  double p95 = 0.0;
+  double p99 = 0.0;
+  double max = 0.0;
+};
 
 // Histogram over log-linear latency buckets (HDR-style).  Bucket 0 holds
 // [0, kMinMs ≈ 1 µs); each power-of-two octave of [kMinMs, 2^16 ms ≈ 65 s)
@@ -39,14 +55,7 @@ class LatencyHistogram {
 
   void record(double ms);
 
-  struct Snapshot {
-    std::uint64_t count = 0;
-    double mean_ms = 0.0;
-    double p50_ms = 0.0;
-    double p95_ms = 0.0;
-    double p99_ms = 0.0;
-    double max_ms = 0.0;
-  };
+  using Snapshot = HistogramSnapshot;  // in ms
   Snapshot snapshot() const;
 
   // Raw bucket counts, indexed like bucket_index() (last entry is the
@@ -70,17 +79,13 @@ class DistanceHistogram {
 
   // Upper bounds of buckets 0..kBuckets-2; the last bucket is +inf.
   static const std::array<double, kBuckets - 1>& bucket_bounds();
+  // [lower, upper) bounds of bucket i (the last bucket's upper is +inf).
+  static double bucket_lower(std::size_t i);
+  static double bucket_upper(std::size_t i);
 
   void record(double d);
 
-  struct Snapshot {
-    std::uint64_t count = 0;
-    double mean = 0.0;
-    double p50 = 0.0;
-    double p95 = 0.0;
-    double p99 = 0.0;
-    double max = 0.0;
-  };
+  using Snapshot = HistogramSnapshot;
   Snapshot snapshot() const;
 
   std::array<std::uint64_t, kBuckets> bucket_counts() const;
@@ -96,95 +101,180 @@ class DistanceHistogram {
 // (default 8) while keeping the counter array small enough to snapshot and
 // ship over the stats op.
 inline constexpr std::size_t kMaxTrackedBatchSize = 32;
+// counts[s-1] = occurrences of exactly s (s ≤ kMaxTrackedBatchSize); the
+// last slot counts anything larger.
+using SlotCounts = std::array<std::uint64_t, kMaxTrackedBatchSize + 1>;
 
-// One snapshot of every service counter plus derived rates; returned by
-// PredictionService::metrics() and rendered by to_string().
+// ---- the metrics schema ----
+//
+// One row per MetricsSnapshot field: OWNER(field, section, key, kind).
+//   field    the MetricsSnapshot member; also its name in the stats frame
+//   section  the JSON object and text line it renders under ("" = top level;
+//            rows of one section stay together)
+//   key      its name inside the section
+//   kind     U64 (counter or gauge), U64S (SlotCounts), LATENCY (ms
+//            histogram), DISTANCE (unitless histogram) or STR
+// The row macro names who counts the value:
+//   SVC    ServiceMetrics atomic `field`, bumped by the service (or through
+//          PredictionService::count by the loops around it)
+//   CACHE  CacheStats member `key`, summed by the embedding cache
+//   REUSE  reuse::ReuseStats member `key`, kept by the reuse index
+//   RPC    RpcCounters atomic `key`, bumped by rpc::Server
+//   INFO   set by PredictionService::metrics() from its configuration
+// The snapshot struct, the atomics, snapshot(), to_string(), to_json() and the
+// stats frame are all generated from this table: a new metric is one row plus
+// its increment site, and needs no wire-protocol bump.
+#define PDDL_METRICS(SVC, CACHE, REUSE, RPC, INFO)                           \
+  /* admission and outcomes */                                               \
+  SVC(submitted, "", submitted, U64)                                         \
+  SVC(completed, "", completed, U64) /* responses with status kOk */         \
+  SVC(cache_hits, "", cache_hits, U64)     /* served from the shard cache */ \
+  SVC(cache_misses, "", cache_misses, U64) /* paid a GHN forward pass */     \
+  SVC(rejected_queue_full, "", rejected_queue_full, U64) /* backpressure */  \
+  SVC(rejected_untrained, "", rejected_untrained, U64) /* no predictor */    \
+  SVC(deadline_expired, "", deadline_expired, U64) /* expired in queue */    \
+  SVC(errors, "", errors, U64) /* request threw */                           \
+  CACHE(cache_entries, "", cache_entries, U64) /* live, all shards */        \
+  CACHE(cache_evictions, "", cache_evictions, U64)                           \
+  SVC(e2e, "", e2e, LATENCY)         /* admission → response */              \
+  SVC(queue, "", queue, LATENCY)     /* admission → dequeue */               \
+  SVC(service, "", service, LATENCY) /* embed + inference only */            \
+  /* embed time split by cache outcome, so the miss tail is not hidden */    \
+  SVC(embed_hit, "", embed_hit, LATENCY)   /* cache-hit lookup */            \
+  SVC(embed_miss, "", embed_miss, LATENCY) /* GHN forward pass */            \
+  /* rpc layer (zero when serving in-process) */                             \
+  RPC(rpc_connections_accepted, "rpc", connections_accepted, U64)            \
+  RPC(rpc_connections_active, "rpc", connections_active, U64)                \
+  RPC(rpc_connections_rejected, "rpc", connections_rejected, U64)            \
+  RPC(rpc_frames_received, "rpc", frames_received, U64)                      \
+  RPC(rpc_frames_sent, "rpc", frames_sent, U64)                              \
+  RPC(rpc_frame_errors, "rpc", frame_errors, U64) /* magic/CRC/length */     \
+  RPC(rpc_read_timeouts, "rpc", read_timeouts, U64) /* stalled, reaped */    \
+  /* feedback loop (zero until a FeedbackController is attached) */          \
+  SVC(observations_ingested, "feedback", observations_ingested, U64)         \
+  SVC(observations_rejected, "feedback", observations_rejected, U64)         \
+  SVC(drift_events, "feedback", drift_events, U64)                           \
+  SVC(refits_started, "feedback", refits_started, U64)                       \
+  SVC(refits_completed, "feedback", refits_completed, U64)                   \
+  SVC(refits_failed, "feedback", refits_failed, U64)                         \
+  SVC(engine_swaps, "feedback", engine_swaps, U64)                           \
+  /* GHN retrain loop (zero until a GhnTrainerJob swaps a generation) */     \
+  SVC(ghn_drift_events, "retrain", ghn_drift_events, U64)                    \
+  SVC(retrains_started, "retrain", retrains_started, U64)                    \
+  SVC(retrains_completed, "retrain", retrains_completed, U64)                \
+  SVC(retrains_failed, "retrain", retrains_failed, U64)                      \
+  SVC(ghn_swaps, "retrain", ghn_swaps, U64)                                  \
+  /* cache entries dropped for a GHN checksum mismatch */                    \
+  CACHE(cache_stale_drops, "retrain", cache_stale_drops, U64)                \
+  /* reuse index (zero until ReuseConfig::enabled) */                        \
+  REUSE(reuse_hits, "reuse", hits, U64) /* within-ε neighbour served */      \
+  REUSE(reuse_rejected, "reuse", rejected, U64) /* nearest beyond ε */       \
+  REUSE(reuse_misses, "reuse", misses, U64) /* nothing past prefilter */     \
+  REUSE(reuse_inserts, "reuse", inserts, U64)                                \
+  REUSE(reuse_evictions, "reuse", evictions, U64)                            \
+  REUSE(reuse_invalidations, "reuse", invalidations, U64) /* GHN swaps */    \
+  REUSE(reuse_entries, "reuse", entries, U64)                                \
+  SVC(reuse_distance, "reuse", distance, DISTANCE) /* served distances */    \
+  /* scratch-arena high-water mark of the embed path */                      \
+  SVC(arena_hwm_bytes, "arena", hwm_bytes, U64)                              \
+  SVC(arena_chunks, "arena", chunks, U64) /* blocks at that mark */          \
+  /* embed-engine provenance (DESIGN.md §15) */                              \
+  INFO(engine_precision, "engine", precision, STR) /* "f64" / "f32" */       \
+  INFO(kernel_dispatch, "engine", dispatch, STR) /* simd level name */       \
+  /* micro-batching */                                                       \
+  SVC(batches_dispatched, "batch", dispatched, U64)                          \
+  SVC(batch_size_counts, "batch", size_counts, U64S)                         \
+  /* batched multi-graph embedding */                                        \
+  SVC(embed_batches, "embed_batch", batches, U64) /* forward passes */       \
+  SVC(embed_batch_graphs, "embed_batch", graphs, U64) /* unique graphs */    \
+  /* duplicate-fingerprint misses that copied a batchmate's embedding */     \
+  SVC(embed_coalesced, "embed_batch", coalesced, U64)                        \
+  SVC(embed_batch_size_counts, "embed_batch", width_counts, U64S)
+
+// Row kinds; the value is the kind byte of the stats frame.
+enum class MetricKind : std::uint8_t {
+  U64 = 0,
+  U64S = 1,
+  LATENCY = 2,
+  DISTANCE = 3,
+  STR = 4,
+};
+
+// One schema row, as the generic renderers and codecs see it.
+struct MetricField {
+  const char* name;     // field
+  const char* section;  // "" = top level
+  const char* key;
+  MetricKind kind;
+};
+
+// Member types per kind: the snapshot value, and the live recorder.
+#define PDDL_METRIC_VALUE_U64 std::uint64_t
+#define PDDL_METRIC_VALUE_U64S SlotCounts
+#define PDDL_METRIC_VALUE_LATENCY HistogramSnapshot
+#define PDDL_METRIC_VALUE_DISTANCE HistogramSnapshot
+#define PDDL_METRIC_VALUE_STR std::string
+#define PDDL_METRIC_LIVE_U64 std::atomic<std::uint64_t>
+#define PDDL_METRIC_LIVE_U64S \
+  std::array<std::atomic<std::uint64_t>, kMaxTrackedBatchSize + 1>
+#define PDDL_METRIC_LIVE_LATENCY LatencyHistogram
+#define PDDL_METRIC_LIVE_DISTANCE DistanceHistogram
+
+// Row expanders for PDDL_METRICS.
+#define PDDL_METRIC_SKIP(field, section, key, kind)
+#define PDDL_METRIC_VALUE_FIELD(field, section, key, kind) \
+  PDDL_METRIC_VALUE_##kind field{};
+#define PDDL_METRIC_VALUE_KEY(field, section, key, kind) \
+  PDDL_METRIC_VALUE_##kind key{};
+#define PDDL_METRIC_LIVE_FIELD(field, section, key, kind) \
+  PDDL_METRIC_LIVE_##kind field{};
+#define PDDL_METRIC_LIVE_KEY(field, section, key, kind) \
+  PDDL_METRIC_LIVE_##kind key{};
+#define PDDL_METRIC_VISIT(field, section, key, kind) \
+  f(MetricField{#field, section, #key, MetricKind::kind}, self.field);
+#define PDDL_METRIC_COUNT_ROW(field, section, key, kind) +1
+
+// The embedding cache's counters (the CACHE rows).
+struct CacheStats {
+  PDDL_METRICS(PDDL_METRIC_SKIP, PDDL_METRIC_VALUE_KEY, PDDL_METRIC_SKIP,
+               PDDL_METRIC_SKIP, PDDL_METRIC_SKIP)
+};
+
+// rpc::Server's connection and frame counters (the RPC rows).
+struct RpcCounters {
+  PDDL_METRICS(PDDL_METRIC_SKIP, PDDL_METRIC_SKIP, PDDL_METRIC_SKIP,
+               PDDL_METRIC_LIVE_KEY, PDDL_METRIC_SKIP)
+};
+
+class ServiceMetrics;
+
+// One snapshot of every row of the schema; returned by
+// PredictionService::metrics() and carried by the rpc `stats` op.
 struct MetricsSnapshot {
-  std::uint64_t submitted = 0;       // admission attempts
-  std::uint64_t completed = 0;       // responses with status kOk
-  std::uint64_t cache_hits = 0;      // embedding served from the shard cache
-  std::uint64_t cache_misses = 0;    // embedding required a GHN forward pass
-  std::uint64_t rejected_queue_full = 0;  // backpressure rejections
-  std::uint64_t rejected_untrained = 0;   // dataset had no fitted predictor
-  std::uint64_t deadline_expired = 0;     // expired while queued
-  std::uint64_t errors = 0;               // request failed with an exception
-  std::uint64_t cache_entries = 0;        // live entries across all shards
-  std::uint64_t cache_evictions = 0;
-  std::uint64_t cache_stale_drops = 0;    // entries rejected for a checksum
-                                          // mismatch (GHN generation changed
-                                          // under an in-flight insert)
+  PDDL_METRICS(PDDL_METRIC_VALUE_FIELD, PDDL_METRIC_VALUE_FIELD,
+               PDDL_METRIC_VALUE_FIELD, PDDL_METRIC_VALUE_FIELD,
+               PDDL_METRIC_VALUE_FIELD)
 
-  // ---- rpc layer (all zero when serving in-process; rpc::Server overlays
-  // its connection and frame counters before answering a `stats` op) ----
-  std::uint64_t rpc_connections_accepted = 0;
-  std::uint64_t rpc_connections_active = 0;
-  std::uint64_t rpc_connections_rejected = 0;  // over the connection cap
-  std::uint64_t rpc_frames_received = 0;
-  std::uint64_t rpc_frames_sent = 0;
-  std::uint64_t rpc_frame_errors = 0;      // bad magic / CRC / length / version
-  std::uint64_t rpc_read_timeouts = 0;     // stalled connections reaped
+  static constexpr std::uint32_t kFieldCount =
+      0 PDDL_METRICS(PDDL_METRIC_COUNT_ROW, PDDL_METRIC_COUNT_ROW,
+                     PDDL_METRIC_COUNT_ROW, PDDL_METRIC_COUNT_ROW,
+                     PDDL_METRIC_COUNT_ROW);
 
-  // ---- feedback loop (all zero until a FeedbackController is attached) ----
-  std::uint64_t observations_ingested = 0;  // accepted into the log
-  std::uint64_t observations_rejected = 0;  // invalid / unscoreable
-  std::uint64_t drift_events = 0;           // detector crossings
-  std::uint64_t refits_started = 0;
-  std::uint64_t refits_completed = 0;
-  std::uint64_t refits_failed = 0;
-  std::uint64_t engine_swaps = 0;           // hot-swapped engines installed
+  // Calls f(const MetricField&, value&) for every row, in table order.
+  template <class F>
+  void for_each_field(F&& f) {
+    visit(*this, f);
+  }
+  template <class F>
+  void for_each_field(F&& f) const {
+    visit(*this, f);
+  }
 
-  // ---- GHN retrain loop (src/retrain/; zero until a GhnTrainerJob is
-  // attached and a ghn_drift edge fires) ----
-  std::uint64_t ghn_drift_events = 0;   // edge-triggered ghn_drift crossings
-  std::uint64_t retrains_started = 0;
-  std::uint64_t retrains_completed = 0;
-  std::uint64_t retrains_failed = 0;
-  std::uint64_t ghn_swaps = 0;          // GHN generations hot-swapped in
-
-  // ---- reuse index (src/reuse/; all zero until ReuseConfig::enabled) ----
-  std::uint64_t reuse_hits = 0;      // served a within-ε neighbour embedding
-  std::uint64_t reuse_rejected = 0;  // shortlist found, nearest beyond ε
-  std::uint64_t reuse_misses = 0;    // probe found nothing past the prefilter
-  std::uint64_t reuse_inserts = 0;
-  std::uint64_t reuse_evictions = 0;
-  std::uint64_t reuse_invalidations = 0;  // partitions dropped (GHN hot-swap)
-  std::uint64_t reuse_entries = 0;        // live index entries
-  DistanceHistogram::Snapshot reuse_distance;  // served neighbour distances
-
-  // ---- scratch-arena high-water mark (tape-free embed path; zero until
-  // something was embedded) ----
-  std::uint64_t arena_hwm_bytes = 0;  // max per-thread arena capacity seen
-  std::uint64_t arena_chunks = 0;     // block count at that high-water mark
-
-  // ---- embed-engine provenance (DESIGN.md §15; filled by
-  // PredictionService::metrics(), empty in raw ServiceMetrics snapshots) ----
-  std::string engine_precision;  // "f64" / "f32" (ServiceConfig::precision)
-  std::string kernel_dispatch;   // live simd::active_level_name()
-
-  // ---- micro-batching (ROADMAP: surface the chosen batch sizes) ----
-  std::uint64_t batches_dispatched = 0;
-  // counts[s-1] = batches of exactly s requests (s ≤ kMaxTrackedBatchSize);
-  // the last slot counts larger batches.
-  std::array<std::uint64_t, kMaxTrackedBatchSize + 1> batch_size_counts{};
-
-  // ---- batched multi-graph embedding (zero until a miss group runs
-  // through GhnInference::embed_batch_into) ----
-  std::uint64_t embed_batches = 0;       // batched forward passes
-  std::uint64_t embed_batch_graphs = 0;  // unique graphs embedded across them
-  std::uint64_t embed_coalesced = 0;     // duplicate-fingerprint misses that
-                                         // copied a batchmate's embedding
-                                         // instead of paying a forward pass
-  // counts[w-1] = batched passes of exactly w unique graphs; last = overflow.
-  std::array<std::uint64_t, kMaxTrackedBatchSize + 1> embed_batch_size_counts{};
-
-  LatencyHistogram::Snapshot e2e;      // admission → response
-  LatencyHistogram::Snapshot queue;    // admission → dequeue
-  LatencyHistogram::Snapshot service;  // embed + inference only
-  // Embedding latency split by cache outcome: a hit is a shard-cache lookup
-  // (µs), a miss pays a full GHN forward pass — mixing them in one
-  // histogram hides the miss tail behind the hit mass.
-  LatencyHistogram::Snapshot embed_hit;   // cache-hit lookup time
-  LatencyHistogram::Snapshot embed_miss;  // forward-pass (uncached) time
+  // Copies the rows one owner counts from that owner's counters.
+  void fill(const ServiceMetrics& src);
+  void fill(const CacheStats& src);
+  void fill(const reuse::ReuseStats& src);
+  void fill(const RpcCounters& src);
 
   double cache_hit_rate() const {
     const std::uint64_t total = cache_hits + cache_misses;
@@ -200,54 +290,29 @@ struct MetricsSnapshot {
   double mean_embed_batch_width() const;
 
   // Multi-line human-readable dump (the "metrics dump" of the example
-  // server and the load generator's per-run report).
+  // server and the load generator's per-run report): one line per section
+  // and one per histogram, each shown once it holds a nonzero value.
   std::string to_string() const;
 
-  // Single-object JSON rendering of every field (counters, rpc layer, and
-  // the three histograms).  One implementation shared by the rpc `stats`
-  // consumers (predict_client --json) and serve_loadgen's persisted report.
+  // Single-object JSON rendering of every row, sections as nested objects.
+  // One implementation shared by the rpc `stats` consumers (predict_client
+  // --json) and serve_loadgen's persisted report.
   std::string to_json() const;
+
+ private:
+  template <class Self, class F>
+  static void visit(Self& self, F& f) {
+    PDDL_METRICS(PDDL_METRIC_VISIT, PDDL_METRIC_VISIT, PDDL_METRIC_VISIT,
+                 PDDL_METRIC_VISIT, PDDL_METRIC_VISIT)
+  }
 };
 
-// The service's live counters.  Members are public atomics: the service
-// increments them directly on the hot path.
+// The service's live counters (the SVC rows).  Members are public atomics:
+// the service increments them directly on the hot path.
 class ServiceMetrics {
  public:
-  std::atomic<std::uint64_t> submitted{0};
-  std::atomic<std::uint64_t> completed{0};
-  std::atomic<std::uint64_t> cache_hits{0};
-  std::atomic<std::uint64_t> cache_misses{0};
-  std::atomic<std::uint64_t> rejected_queue_full{0};
-  std::atomic<std::uint64_t> rejected_untrained{0};
-  std::atomic<std::uint64_t> deadline_expired{0};
-  std::atomic<std::uint64_t> errors{0};
-
-  // Feedback loop (bumped via the service's note_* hooks).
-  std::atomic<std::uint64_t> observations_ingested{0};
-  std::atomic<std::uint64_t> observations_rejected{0};
-  std::atomic<std::uint64_t> drift_events{0};
-  std::atomic<std::uint64_t> refits_started{0};
-  std::atomic<std::uint64_t> refits_completed{0};
-  std::atomic<std::uint64_t> refits_failed{0};
-  std::atomic<std::uint64_t> engine_swaps{0};
-
-  // GHN retrain loop (bumped via note_ghn_drift / note_retrain_* and
-  // swap_ghn).
-  std::atomic<std::uint64_t> ghn_drift_events{0};
-  std::atomic<std::uint64_t> retrains_started{0};
-  std::atomic<std::uint64_t> retrains_completed{0};
-  std::atomic<std::uint64_t> retrains_failed{0};
-  std::atomic<std::uint64_t> ghn_swaps{0};
-
-  std::atomic<std::uint64_t> batches_dispatched{0};
-  std::array<std::atomic<std::uint64_t>, kMaxTrackedBatchSize + 1>
-      batch_size_counts{};
-
-  std::atomic<std::uint64_t> embed_batches{0};
-  std::atomic<std::uint64_t> embed_batch_graphs{0};
-  std::atomic<std::uint64_t> embed_coalesced{0};
-  std::array<std::atomic<std::uint64_t>, kMaxTrackedBatchSize + 1>
-      embed_batch_size_counts{};
+  PDDL_METRICS(PDDL_METRIC_LIVE_FIELD, PDDL_METRIC_SKIP, PDDL_METRIC_SKIP,
+               PDDL_METRIC_SKIP, PDDL_METRIC_SKIP)
 
   // One relaxed increment per dispatched micro-batch.
   void record_batch_size(std::size_t n);
@@ -261,18 +326,7 @@ class ServiceMetrics {
   // snapshot never mixes measurements from two threads.
   void note_arena(std::size_t capacity_bytes, std::size_t chunks);
 
-  std::atomic<std::uint64_t> arena_hwm_bytes{0};
-  std::atomic<std::uint64_t> arena_chunks{0};
-
-  LatencyHistogram e2e_ms;
-  LatencyHistogram queue_ms;
-  LatencyHistogram service_ms;
-  LatencyHistogram embed_hit_ms;
-  LatencyHistogram embed_miss_ms;
-  DistanceHistogram reuse_distance;
-
-  // Counter + histogram snapshot; cache fields are filled in by the service,
-  // which owns the cache.
+  // The SVC rows; the other owners' rows stay zero.
   MetricsSnapshot snapshot() const;
 };
 

@@ -168,9 +168,9 @@ void PredictionService::finish(Pending& p, ServeResult result) {
   result.total_ms = ms_between(p.enqueued, now);
   if (result.ok()) {
     metrics_.completed.fetch_add(1, std::memory_order_relaxed);
-    metrics_.e2e_ms.record(result.total_ms);
-    metrics_.service_ms.record(result.response.embedding_ms +
-                               result.response.inference_ms);
+    metrics_.e2e.record(result.total_ms);
+    metrics_.service.record(result.response.embedding_ms +
+                            result.response.inference_ms);
   }
   p.promise.set_value(std::move(result));
 }
@@ -211,7 +211,7 @@ void PredictionService::process_batch(std::vector<Pending> batch) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     Pending& p = batch[i];
     const double queue_ms = ms_between(p.enqueued, dequeued);
-    metrics_.queue_ms.record(queue_ms);
+    metrics_.queue.record(queue_ms);
 
     ServeResult r;
     r.queue_ms = queue_ms;
@@ -418,7 +418,7 @@ void PredictionService::process_batch(std::vector<Pending> batch) {
     const std::string& dataset = p.req.workload.dataset.name;
     if (w.cache_hit) {
       metrics_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      metrics_.embed_hit_ms.record(w.embed_ms);
+      metrics_.embed_hit.record(w.embed_ms);
     } else if (w.reused) {
       // A reuse hit is neither a cache hit nor a cache miss — it never
       // touched the shard cache and never embedded.  It has its own
@@ -429,7 +429,7 @@ void PredictionService::process_batch(std::vector<Pending> batch) {
       // architecture should still be able to embed fresh.
     } else {
       metrics_.cache_misses.fetch_add(1, std::memory_order_relaxed);
-      metrics_.embed_miss_ms.record(w.embed_ms);
+      metrics_.embed_miss.record(w.embed_ms);
       if (!w.coalesced) {
         // Coalesced duplicates skip insertion: their representative already
         // installed this fingerprint's embedding this dispatch.
@@ -639,51 +639,10 @@ void PredictionService::swap_ghn(
   metrics_.ghn_swaps.fetch_add(1, std::memory_order_relaxed);
 }
 
-void PredictionService::note_observation(bool accepted) {
-  (accepted ? metrics_.observations_ingested : metrics_.observations_rejected)
-      .fetch_add(1, std::memory_order_relaxed);
-}
-
-void PredictionService::note_drift() {
-  metrics_.drift_events.fetch_add(1, std::memory_order_relaxed);
-}
-
-void PredictionService::note_refit_started() {
-  metrics_.refits_started.fetch_add(1, std::memory_order_relaxed);
-}
-
-void PredictionService::note_refit_finished(bool ok) {
-  (ok ? metrics_.refits_completed : metrics_.refits_failed)
-      .fetch_add(1, std::memory_order_relaxed);
-}
-
-void PredictionService::note_ghn_drift() {
-  metrics_.ghn_drift_events.fetch_add(1, std::memory_order_relaxed);
-}
-
-void PredictionService::note_retrain_started() {
-  metrics_.retrains_started.fetch_add(1, std::memory_order_relaxed);
-}
-
-void PredictionService::note_retrain_finished(bool ok) {
-  (ok ? metrics_.retrains_completed : metrics_.retrains_failed)
-      .fetch_add(1, std::memory_order_relaxed);
-}
-
 MetricsSnapshot PredictionService::metrics() const {
   MetricsSnapshot s = metrics_.snapshot();
-  const CacheStats cs = cache_.stats();
-  s.cache_entries = cs.entries;
-  s.cache_evictions = cs.evictions;
-  s.cache_stale_drops = cs.stale_drops;
-  const reuse::ReuseStats rs = reuse_index_.stats();
-  s.reuse_hits = rs.hits;
-  s.reuse_rejected = rs.rejected;
-  s.reuse_misses = rs.misses;
-  s.reuse_inserts = rs.inserts;
-  s.reuse_evictions = rs.evictions;
-  s.reuse_invalidations = rs.invalidations;
-  s.reuse_entries = rs.entries;
+  s.fill(cache_.stats());
+  s.fill(reuse_index_.stats());
   s.engine_precision = ghn::precision_name(cfg_.precision);
   s.kernel_dispatch = simd::active_level_name();
   return s;

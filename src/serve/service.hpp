@@ -174,16 +174,14 @@ class PredictionService {
   void swap_ghn(const std::string& dataset, std::unique_ptr<ghn::Ghn2> ghn,
                 std::shared_ptr<core::InferenceEngine> engine);
 
-  // Counter hooks for the feedback controller, so drift/refit activity shows
-  // up in the same MetricsSnapshot (and stats op) as serving counters.
-  void note_observation(bool accepted);
-  void note_drift();
-  void note_refit_started();
-  void note_refit_finished(bool ok);
-  // Same, for the GHN retrain loop (src/retrain/).
-  void note_ghn_drift();
-  void note_retrain_started();
-  void note_retrain_finished(bool ok);
+  // The one counter hook for the loops around the service (feedback
+  // controller, GHN retrain job), so drift/refit/retrain activity shows up
+  // in the same MetricsSnapshot (and stats op) as serving counters, e.g.
+  // count(&ServiceMetrics::drift_events).  A relaxed atomic increment.
+  using Counter = std::atomic<std::uint64_t> ServiceMetrics::*;
+  void count(Counter c) {
+    (metrics_.*c).fetch_add(1, std::memory_order_relaxed);
+  }
 
   // Counter snapshot, with cache occupancy and reuse-index stats folded in.
   MetricsSnapshot metrics() const;

@@ -10,11 +10,13 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <sstream>
 
 #include "common/rng.hpp"
+#include "ghn/ghn2.hpp"
 #include "io/binary.hpp"
 #include "io/snapshot.hpp"
 #include "io/tensor_io.hpp"
@@ -425,39 +427,64 @@ TEST(Snapshot, FailedSaveLeavesThePreviousFileIntact) {
     return std::string(std::istreambuf_iterator<char>(is), {});
   };
 
-  SnapshotWriter a;
-  a.add("state").str("generation A");
-  a.save_file(path.string());
-  const std::string bytes_a = read_file(path);
-  ASSERT_FALSE(bytes_a.empty());
-
-  // Generation B is far larger than the file-size limit set below, so its
-  // write fails partway (EFBIG instead of SIGXFSZ while the signal is
-  // ignored) — the same shape as a full disk or a crash mid-save.
-  SnapshotWriter b;
+  // One case per save-to-path entry point.  Generation B is far larger than
+  // the file-size limit set below, so its write fails partway (EFBIG instead
+  // of SIGXFSZ while the signal is ignored) — the same shape as a full disk
+  // or a crash mid-save.
+  SnapshotWriter snap_a;
+  snap_a.add("state").str("generation A");
+  SnapshotWriter snap_b;
   const std::string payload(1 << 16, 'b');
-  b.add("state").raw(payload.data(), payload.size());
-  rlimit saved{};
-  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
-  rlimit lowered = saved;
-  lowered.rlim_cur = 4096;
-  void (*const old_handler)(int) = std::signal(SIGXFSZ, SIG_IGN);
-  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &lowered), 0);
-  bool threw = false;
-  try {
-    b.save_file(path.string());
-  } catch (const Error&) {
-    threw = true;
-  }
-  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
-  std::signal(SIGXFSZ, old_handler);
+  snap_b.add("state").raw(payload.data(), payload.size());
+  Rng rng(3);
+  const ghn::Ghn2 ghn_a(ghn::GhnConfig{}, rng);
+  const ghn::Ghn2 ghn_b(ghn::GhnConfig{}, rng);
+  using Step = std::function<void(const std::string&)>;
+  struct Case {
+    const char* name;
+    Step save_a, save_b, expect_a;
+  };
+  const Case cases[] = {
+      {"snapshot", [&](const std::string& p) { snap_a.save_file(p); },
+       [&](const std::string& p) { snap_b.save_file(p); },
+       [](const std::string& p) {
+         SnapshotReader loaded(p);
+         EXPECT_EQ(loaded.reader("state").str(), "generation A");
+       }},
+      {"ghn", [&](const std::string& p) { ghn::save_ghn(p, ghn_a); },
+       [&](const std::string& p) { ghn::save_ghn(p, ghn_b); },
+       [&](const std::string& p) {
+         EXPECT_EQ(ghn::ghn_checksum(*ghn::load_ghn(p)),
+                   ghn::ghn_checksum(ghn_a));
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    c.save_a(path.string());
+    const std::string bytes_a = read_file(path);
+    ASSERT_FALSE(bytes_a.empty());
 
-  EXPECT_TRUE(threw);
-  EXPECT_EQ(read_file(path), bytes_a);
-  SnapshotReader loaded(path.string());
-  EXPECT_EQ(loaded.reader("state").str(), "generation A");
-  EXPECT_FALSE(std::filesystem::exists(path.string() + ".tmp"));
-  std::filesystem::remove(path);
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    rlimit lowered = saved;
+    lowered.rlim_cur = 4096;
+    void (*const old_handler)(int) = std::signal(SIGXFSZ, SIG_IGN);
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &lowered), 0);
+    bool threw = false;
+    try {
+      c.save_b(path.string());
+    } catch (const Error&) {
+      threw = true;
+    }
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+    std::signal(SIGXFSZ, old_handler);
+
+    EXPECT_TRUE(threw);
+    EXPECT_TRUE(read_file(path) == bytes_a) << "the previous file changed";
+    c.expect_a(path.string());
+    EXPECT_FALSE(std::filesystem::exists(path.string() + ".tmp"));
+    std::filesystem::remove(path);
+  }
 }
 
 }  // namespace

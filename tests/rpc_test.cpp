@@ -16,6 +16,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <sstream>
+#include <string>
+#include <type_traits>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -357,129 +360,155 @@ TEST(Wire, ResponseWithResultsRoundTrips) {
   EXPECT_EQ(back.results[1].error, "admission queue at capacity (64)");
 }
 
+// Every field of a snapshot as "name=value", walking the schema table;
+// doubles in hex so the comparison is bit-exact.
+std::vector<std::string> field_values(const serve::MetricsSnapshot& m) {
+  std::vector<std::string> out;
+  m.for_each_field([&out](const serve::MetricField& f, const auto& v) {
+    std::ostringstream os;
+    os << f.name << '=' << std::hexfloat;
+    using T = std::decay_t<decltype(v)>;
+    if constexpr (std::is_same_v<T, serve::SlotCounts>) {
+      for (std::uint64_t c : v) os << c << ',';
+    } else if constexpr (std::is_same_v<T, serve::HistogramSnapshot>) {
+      os << v.count << ',' << v.mean << ',' << v.p50 << ',' << v.p95 << ','
+         << v.p99 << ',' << v.max;
+    } else {
+      os << v;
+    }
+    out.push_back(os.str());
+  });
+  return out;
+}
+
 TEST(Wire, StatsResponseRoundTripsEveryCounter) {
   // Every MetricsSnapshot field gets a distinct value, so a field the codec
-  // drops, reorders or truncates shows up as a mismatch below.
-  double next = 1.0;
-  auto u = [&next] { return static_cast<std::uint64_t>(next++); };
-  auto d = [&next] { return (next++) + 0.125; };
-  auto hist = [&](serve::LatencyHistogram::Snapshot& h) {
-    h.count = u();
-    h.mean_ms = d();
-    h.p50_ms = d();
-    h.p95_ms = d();
-    h.p99_ms = d();
-    h.max_ms = d();
-  };
+  // drops, mismatches or truncates shows up as a mismatch below.
   Response resp;
   resp.op = Op::kStats;
   serve::MetricsSnapshot& m = resp.stats;
-  for (std::uint64_t* f :
-       {&m.submitted, &m.completed, &m.cache_hits, &m.cache_misses,
-        &m.rejected_queue_full, &m.rejected_untrained, &m.deadline_expired,
-        &m.errors, &m.cache_entries, &m.cache_evictions, &m.cache_stale_drops,
-        &m.rpc_connections_accepted, &m.rpc_connections_active,
-        &m.rpc_connections_rejected, &m.rpc_frames_received,
-        &m.rpc_frames_sent, &m.rpc_frame_errors, &m.rpc_read_timeouts,
-        &m.observations_ingested, &m.observations_rejected, &m.drift_events,
-        &m.refits_started, &m.refits_completed, &m.refits_failed,
-        &m.engine_swaps, &m.ghn_drift_events, &m.retrains_started,
-        &m.retrains_completed, &m.retrains_failed, &m.ghn_swaps,
-        &m.reuse_hits, &m.reuse_rejected, &m.reuse_misses, &m.reuse_inserts,
-        &m.reuse_evictions, &m.reuse_invalidations, &m.reuse_entries,
-        &m.arena_hwm_bytes, &m.arena_chunks, &m.batches_dispatched,
-        &m.embed_batches, &m.embed_batch_graphs, &m.embed_coalesced}) {
-    *f = u();
-  }
-  for (std::uint64_t& c : m.batch_size_counts) c = u();
-  for (std::uint64_t& c : m.embed_batch_size_counts) c = u();
-  m.reuse_distance.count = u();
-  m.reuse_distance.mean = d();
-  m.reuse_distance.p50 = d();
-  m.reuse_distance.p95 = d();
-  m.reuse_distance.p99 = d();
-  m.reuse_distance.max = d();
-  hist(m.e2e);
-  hist(m.queue);
-  hist(m.service);
-  hist(m.embed_hit);
-  hist(m.embed_miss);
-  m.engine_precision = "f32";
-  m.kernel_dispatch = "avx2";
+  double next = 1.0;
+  m.for_each_field([&next](const serve::MetricField& f, auto& v) {
+    auto u = [&next] { return static_cast<std::uint64_t>(next++); };
+    auto d = [&next] { return (next++) + 0.125; };
+    using T = std::decay_t<decltype(v)>;
+    if constexpr (std::is_same_v<T, serve::SlotCounts>) {
+      for (std::uint64_t& c : v) c = u();
+    } else if constexpr (std::is_same_v<T, serve::HistogramSnapshot>) {
+      v = {u(), d(), d(), d(), d(), d()};
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      v = std::string(f.name) + "-value";
+    } else {
+      v = u();
+    }
+  });
 
   const serve::MetricsSnapshot back =
       decode_response(encode_response(resp)).stats;
-  EXPECT_EQ(back.submitted, m.submitted);
-  EXPECT_EQ(back.completed, m.completed);
-  EXPECT_EQ(back.cache_hits, m.cache_hits);
-  EXPECT_EQ(back.cache_misses, m.cache_misses);
-  EXPECT_EQ(back.rejected_queue_full, m.rejected_queue_full);
-  EXPECT_EQ(back.rejected_untrained, m.rejected_untrained);
-  EXPECT_EQ(back.deadline_expired, m.deadline_expired);
-  EXPECT_EQ(back.errors, m.errors);
-  EXPECT_EQ(back.cache_entries, m.cache_entries);
-  EXPECT_EQ(back.cache_evictions, m.cache_evictions);
-  EXPECT_EQ(back.cache_stale_drops, m.cache_stale_drops);
-  EXPECT_EQ(back.rpc_connections_accepted, m.rpc_connections_accepted);
-  EXPECT_EQ(back.rpc_connections_active, m.rpc_connections_active);
-  EXPECT_EQ(back.rpc_connections_rejected, m.rpc_connections_rejected);
-  EXPECT_EQ(back.rpc_frames_received, m.rpc_frames_received);
-  EXPECT_EQ(back.rpc_frames_sent, m.rpc_frames_sent);
-  EXPECT_EQ(back.rpc_frame_errors, m.rpc_frame_errors);
-  EXPECT_EQ(back.rpc_read_timeouts, m.rpc_read_timeouts);
-  EXPECT_EQ(back.observations_ingested, m.observations_ingested);
-  EXPECT_EQ(back.observations_rejected, m.observations_rejected);
-  EXPECT_EQ(back.drift_events, m.drift_events);
-  EXPECT_EQ(back.refits_started, m.refits_started);
-  EXPECT_EQ(back.refits_completed, m.refits_completed);
-  EXPECT_EQ(back.refits_failed, m.refits_failed);
-  EXPECT_EQ(back.engine_swaps, m.engine_swaps);
-  EXPECT_EQ(back.ghn_drift_events, m.ghn_drift_events);
-  EXPECT_EQ(back.retrains_started, m.retrains_started);
-  EXPECT_EQ(back.retrains_completed, m.retrains_completed);
-  EXPECT_EQ(back.retrains_failed, m.retrains_failed);
-  EXPECT_EQ(back.ghn_swaps, m.ghn_swaps);
-  EXPECT_EQ(back.reuse_hits, m.reuse_hits);
-  EXPECT_EQ(back.reuse_rejected, m.reuse_rejected);
-  EXPECT_EQ(back.reuse_misses, m.reuse_misses);
-  EXPECT_EQ(back.reuse_inserts, m.reuse_inserts);
-  EXPECT_EQ(back.reuse_evictions, m.reuse_evictions);
-  EXPECT_EQ(back.reuse_invalidations, m.reuse_invalidations);
-  EXPECT_EQ(back.reuse_entries, m.reuse_entries);
-  EXPECT_EQ(back.arena_hwm_bytes, m.arena_hwm_bytes);
-  EXPECT_EQ(back.arena_chunks, m.arena_chunks);
-  EXPECT_EQ(back.batches_dispatched, m.batches_dispatched);
-  EXPECT_EQ(back.embed_batches, m.embed_batches);
-  EXPECT_EQ(back.embed_batch_graphs, m.embed_batch_graphs);
-  EXPECT_EQ(back.embed_coalesced, m.embed_coalesced);
-  EXPECT_EQ(back.batch_size_counts, m.batch_size_counts);
-  EXPECT_EQ(back.embed_batch_size_counts, m.embed_batch_size_counts);
-  EXPECT_EQ(back.reuse_distance.count, m.reuse_distance.count);
-  EXPECT_EQ(back.reuse_distance.mean, m.reuse_distance.mean);
-  EXPECT_EQ(back.reuse_distance.p50, m.reuse_distance.p50);
-  EXPECT_EQ(back.reuse_distance.p95, m.reuse_distance.p95);
-  EXPECT_EQ(back.reuse_distance.p99, m.reuse_distance.p99);
-  EXPECT_EQ(back.reuse_distance.max, m.reuse_distance.max);
-  const std::pair<const serve::LatencyHistogram::Snapshot*,
-                  const serve::LatencyHistogram::Snapshot*>
-      hists[] = {{&back.e2e, &m.e2e},
-                 {&back.queue, &m.queue},
-                 {&back.service, &m.service},
-                 {&back.embed_hit, &m.embed_hit},
-                 {&back.embed_miss, &m.embed_miss}};
-  for (const auto& [got, want] : hists) {
-    EXPECT_EQ(got->count, want->count);
-    EXPECT_EQ(got->mean_ms, want->mean_ms);
-    EXPECT_EQ(got->p50_ms, want->p50_ms);
-    EXPECT_EQ(got->p95_ms, want->p95_ms);
-    EXPECT_EQ(got->p99_ms, want->p99_ms);
-    EXPECT_EQ(got->max_ms, want->max_ms);
-  }
-  EXPECT_EQ(back.engine_precision, m.engine_precision);
-  EXPECT_EQ(back.kernel_dispatch, m.kernel_dispatch);
+  const std::vector<std::string> want = field_values(m);
+  EXPECT_EQ(want.size(), serve::MetricsSnapshot::kFieldCount);
+  EXPECT_EQ(field_values(back), want);
   // The rendered forms agree too, so nothing the dumps show was lost.
   EXPECT_EQ(back.to_json(), m.to_json());
   EXPECT_EQ(back.to_string(), m.to_string());
+}
+
+// A stats payload assembled entry by entry, for the hostile-input tests.
+struct StatsPayload {
+  std::ostringstream os;
+  io::BinaryWriter w{os};
+  void entry(const std::string& name, serve::MetricKind kind) {
+    w.str(name);
+    w.u8(static_cast<std::uint8_t>(kind));
+  }
+  serve::MetricsSnapshot read() {
+    io::BinaryReader r(os.str(), "stats payload");
+    serve::MetricsSnapshot m = read_metrics(r);
+    EXPECT_TRUE(r.at_end());
+    return m;
+  }
+};
+
+TEST(Wire, StatsDecoderSkipsUnknownEntriesOfEveryKind) {
+  // A newer peer's metrics this build does not know are skipped by kind;
+  // the known entries around them still land.
+  StatsPayload p;
+  p.w.u32(7);
+  p.entry("completed", serve::MetricKind::U64);
+  p.w.u64(7);
+  p.entry("future_counter", serve::MetricKind::U64);
+  p.w.u64(1);
+  p.entry("future_slots", serve::MetricKind::U64S);
+  p.w.u32(3);
+  for (int i = 0; i < 3; ++i) p.w.u64(2);
+  p.entry("future_latency", serve::MetricKind::LATENCY);
+  p.w.u64(3);
+  for (int i = 0; i < 5; ++i) p.w.f64(3.5);
+  p.entry("future_distance", serve::MetricKind::DISTANCE);
+  p.w.u64(4);
+  for (int i = 0; i < 5; ++i) p.w.f64(0.25);
+  p.entry("future_label", serve::MetricKind::STR);
+  p.w.str("label");
+  p.entry("kernel_dispatch", serve::MetricKind::STR);
+  p.w.str("avx2");
+  const serve::MetricsSnapshot m = p.read();
+  EXPECT_EQ(m.completed, 7u);
+  EXPECT_EQ(m.kernel_dispatch, "avx2");
+  EXPECT_EQ(m.submitted, 0u);  // not sent: stays zero
+}
+
+TEST(Wire, StatsDecoderRejectsTruncatedEntries) {
+  std::ostringstream os;
+  io::BinaryWriter w(os);
+  serve::MetricsSnapshot m;
+  m.completed = 3;
+  m.engine_precision = "f32";
+  write_metrics(w, m);
+  const std::string full = os.str();
+  // Every proper prefix of the payload cuts some entry (or the count) short.
+  for (std::size_t len = 0; len < full.size(); ++len) {
+    io::BinaryReader r(full.substr(0, len), "stats payload");
+    EXPECT_THROW(read_metrics(r), Error) << "prefix of " << len << " bytes";
+  }
+}
+
+TEST(Wire, StatsDecoderRejectsCountsTheFrameCannotHold) {
+  {
+    StatsPayload p;  // announces 1000 entries, carries one
+    p.w.u32(1000);
+    p.entry("completed", serve::MetricKind::U64);
+    p.w.u64(1);
+    EXPECT_THROW(p.read(), Error);
+  }
+  {
+    StatsPayload p;  // past the entry bound: rejected before reading on
+    p.w.u32(0xffffffffu);
+    EXPECT_THROW(p.read(), Error);
+  }
+  {
+    StatsPayload p;  // a slot count past its bound
+    p.w.u32(1);
+    p.entry("batch_size_counts", serve::MetricKind::U64S);
+    p.w.u32(0xffffffffu);
+    EXPECT_THROW(p.read(), Error);
+  }
+}
+
+TEST(Wire, StatsDecoderRejectsBadKindBytes) {
+  for (const char* name : {"completed", "future_counter"}) {
+    StatsPayload p;
+    p.w.u32(1);
+    p.w.str(name);
+    p.w.u8(5);  // one past MetricKind::STR
+    p.w.u64(1);
+    EXPECT_THROW(p.read(), Error) << name;
+  }
+  // A known name under another kind is a schema conflict, not a skip.
+  StatsPayload p;
+  p.w.u32(1);
+  p.entry("completed", serve::MetricKind::STR);
+  p.w.str("7");
+  EXPECT_THROW(p.read(), Error);
 }
 
 TEST(Wire, ErrorResponseRoundTrips) {

@@ -116,7 +116,7 @@ TEST_F(ServeTest, EmbedLatencySplitsByCacheOutcome) {
   const std::string json = m.to_json();
   EXPECT_NE(json.find("\"embed_hit\""), std::string::npos);
   EXPECT_NE(json.find("\"embed_miss\""), std::string::npos);
-  EXPECT_NE(m.to_string().find("embed hit"), std::string::npos);
+  EXPECT_NE(m.to_string().find("embed_hit"), std::string::npos);
 }
 
 TEST_F(ServeTest, ServedPredictionMatchesTapeOracle) {
@@ -337,7 +337,7 @@ TEST_F(ServeTest, StressManyClientsMixedTraffic) {
   EXPECT_GE(wave2.submitted, wave1.submitted);
   EXPECT_GE(wave2.cache_hits, wave1.cache_hits);
   EXPECT_GE(wave2.e2e.count, wave1.e2e.count);
-  EXPECT_GE(wave2.e2e.max_ms, 0.0);
+  EXPECT_GE(wave2.e2e.max, 0.0);
 }
 
 // ---- ShardedEmbeddingCache unit coverage ----
@@ -357,9 +357,8 @@ TEST(ShardedEmbeddingCache, LruEvictsLeastRecentlyUsed) {
   EXPECT_TRUE(cache.get("d", 3, kCk).has_value());
   EXPECT_TRUE(cache.get("d", 4, kCk).has_value());
   const CacheStats s = cache.stats();
-  EXPECT_EQ(s.evictions, 1u);
-  EXPECT_EQ(s.entries, 3u);
-  EXPECT_EQ(s.inserts, 4u);
+  EXPECT_EQ(s.cache_evictions, 1u);
+  EXPECT_EQ(s.cache_entries, 3u);
 }
 
 TEST(ShardedEmbeddingCache, PutRefreshesExistingKey) {
@@ -389,9 +388,7 @@ TEST(ShardedEmbeddingCache, ChecksumMismatchDropsEntryInsteadOfServing) {
   EXPECT_FALSE(cache.get("d", 7, kCk + 1).has_value());
   EXPECT_EQ(cache.size(), 0u);
   const CacheStats s = cache.stats();
-  EXPECT_EQ(s.stale_drops, 1u);
-  EXPECT_EQ(s.hits, 0u);
-  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.cache_stale_drops, 1u);
   // Refresh under the new checksum re-validates the fingerprint.
   cache.put("d", 7, kCk + 1, {2.0});
   EXPECT_EQ((*cache.get("d", 7, kCk + 1))[0], 2.0);
@@ -413,7 +410,6 @@ TEST(ShardedEmbeddingCache, ConcurrentHammerStaysConsistent) {
   ShardedEmbeddingCache cache(8, 64);
   constexpr int kThreads = 8;
   constexpr int kOps = 500;
-  std::atomic<std::uint64_t> gets{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -421,12 +417,9 @@ TEST(ShardedEmbeddingCache, ConcurrentHammerStaysConsistent) {
         const std::uint64_t fp = static_cast<std::uint64_t>((t * 7 + i) % 96);
         if (i % 3 == 0) {
           cache.put("d", fp, kCk, {static_cast<double>(fp)});
-        } else {
-          gets.fetch_add(1);
-          if (auto v = cache.get("d", fp, kCk)) {
-            // A hit must return the value stored under that key.
-            EXPECT_EQ((*v)[0], static_cast<double>(fp));
-          }
+        } else if (auto v = cache.get("d", fp, kCk)) {
+          // A hit must return the value stored under that key.
+          EXPECT_EQ((*v)[0], static_cast<double>(fp));
         }
       }
     });
@@ -434,8 +427,7 @@ TEST(ShardedEmbeddingCache, ConcurrentHammerStaysConsistent) {
   for (auto& th : threads) th.join();
   EXPECT_LE(cache.size(), cache.capacity());
   const CacheStats s = cache.stats();
-  EXPECT_EQ(s.hits + s.misses, gets.load());
-  EXPECT_EQ(s.entries, cache.size());
+  EXPECT_EQ(s.cache_entries, cache.size());
 }
 
 // ---- LatencyHistogram unit coverage ----
@@ -446,26 +438,26 @@ TEST(LatencyHistogram, QuantilesLandInTheRightBuckets) {
   for (int i = 0; i < 10; ++i) h.record(150.0);  // bucket (100, 200]
   const auto s = h.snapshot();
   EXPECT_EQ(s.count, 100u);
-  EXPECT_NEAR(s.mean_ms, 0.9 * 1.5 + 0.1 * 150.0, 0.01);
-  EXPECT_GT(s.p50_ms, 1.0);
-  EXPECT_LE(s.p50_ms, 2.0);
-  EXPECT_GT(s.p95_ms, 100.0);
-  EXPECT_LE(s.p95_ms, 200.0);
-  EXPECT_GT(s.p99_ms, 100.0);
-  EXPECT_LE(s.p99_ms, 200.0);
-  EXPECT_NEAR(s.max_ms, 150.0, 1e-6);
+  EXPECT_NEAR(s.mean, 0.9 * 1.5 + 0.1 * 150.0, 0.01);
+  EXPECT_GT(s.p50, 1.0);
+  EXPECT_LE(s.p50, 2.0);
+  EXPECT_GT(s.p95, 100.0);
+  EXPECT_LE(s.p95, 200.0);
+  EXPECT_GT(s.p99, 100.0);
+  EXPECT_LE(s.p99, 200.0);
+  EXPECT_NEAR(s.max, 150.0, 1e-6);
 
   // Sub-50 µs latencies (cache-hit lookups) resolve to within the 3 %
-  // bucket width.  A slow tail keeps max_ms above them, so the pXX ≤ max
+  // bucket width.  A slow tail keeps max above them, so the pXX ≤ max
   // clamp cannot mask a coarse bucket.
   for (const double ms : {0.0031, 0.010, 0.042}) {
     LatencyHistogram fast;
     for (int i = 0; i < 1000; ++i) fast.record(ms);
     for (int i = 0; i < 10; ++i) fast.record(5.0);
     const auto f = fast.snapshot();
-    EXPECT_NEAR(f.p50_ms, ms, 0.03 * ms) << ms;
-    EXPECT_NEAR(f.p95_ms, ms, 0.03 * ms) << ms;
-    EXPECT_NEAR(f.p99_ms, ms, 0.03 * ms) << ms;
+    EXPECT_NEAR(f.p50, ms, 0.03 * ms) << ms;
+    EXPECT_NEAR(f.p95, ms, 0.03 * ms) << ms;
+    EXPECT_NEAR(f.p99, ms, 0.03 * ms) << ms;
   }
 }
 
@@ -495,20 +487,20 @@ TEST(LatencyHistogram, BucketsAreContiguousAndAtMostThreePercentWide) {
 TEST(LatencyHistogram, EmptyAndSingleSample) {
   LatencyHistogram h;
   EXPECT_EQ(h.snapshot().count, 0u);
-  EXPECT_EQ(h.snapshot().p99_ms, 0.0);
+  EXPECT_EQ(h.snapshot().p99, 0.0);
   h.record(3.0);
   const auto s = h.snapshot();
   EXPECT_EQ(s.count, 1u);
-  EXPECT_GT(s.p50_ms, 2.0);
-  EXPECT_LE(s.p50_ms, 5.0);
-  EXPECT_NEAR(s.max_ms, 3.0, 1e-6);
+  EXPECT_GT(s.p50, 2.0);
+  EXPECT_LE(s.p50, 5.0);
+  EXPECT_NEAR(s.max, 3.0, 1e-6);
 }
 
 TEST(LatencyHistogram, OverflowBucketUsesObservedMax) {
   LatencyHistogram h;
   h.record(90000.0);  // beyond the last bound (2^16 ms ≈ 65.5 s)
   const auto s = h.snapshot();
-  EXPECT_NEAR(s.p99_ms, 90000.0, 1e-3);
+  EXPECT_NEAR(s.p99, 90000.0, 1e-3);
 }
 
 namespace {
@@ -560,8 +552,9 @@ TEST(Metrics, ToJsonReportsFeedbackCounters) {
   // The human dump grows a feedback line once the loop saw traffic.
   const std::string text = s.to_string();
   EXPECT_NE(text.find("feedback"), std::string::npos);
-  EXPECT_NE(text.find("observed=7"), std::string::npos);
-  EXPECT_NE(text.find("refits=1/2 (failed=1)"), std::string::npos);
+  EXPECT_NE(text.find("observations_ingested=7"), std::string::npos);
+  EXPECT_NE(text.find("refits_started=2 refits_completed=1 refits_failed=1"),
+            std::string::npos);
 }
 
 TEST(Metrics, QuietSnapshotOmitsOptionalTextSections) {
@@ -571,6 +564,16 @@ TEST(Metrics, QuietSnapshotOmitsOptionalTextSections) {
   EXPECT_EQ(text.find("rpc"), std::string::npos);
   EXPECT_EQ(text.find("batch"), std::string::npos);
   EXPECT_EQ(text.find("feedback"), std::string::npos);
+}
+
+TEST(Metrics, TextDumpKeepsTheTokensTheSmokeChecksGrepFor) {
+  // CI greps `--stats` output for these; the generated layout keeps them.
+  MetricsSnapshot s;
+  s.reuse_hits = 3;
+  s.ghn_swaps = 1;
+  const std::string text = s.to_string();
+  EXPECT_NE(text.find("  reuse    : hits=3 "), std::string::npos);
+  EXPECT_NE(text.find("ghn_swaps=1 cache_stale_drops=0"), std::string::npos);
 }
 
 TEST(Metrics, BatchSizeDistributionTracksExactSlotsAndOverflow) {
@@ -717,7 +720,7 @@ TEST(Metrics, EmbedBatchTelemetryTracksWidthsAndCoalescing) {
   EXPECT_EQ(s.embed_batch_size_counts[0], 1u);
   EXPECT_EQ(s.embed_batch_size_counts[kMaxTrackedBatchSize], 1u);
   EXPECT_NE(s.to_json().find("\"embed_batch\""), std::string::npos);
-  EXPECT_NE(s.to_string().find("embatch"), std::string::npos);
+  EXPECT_NE(s.to_string().find("embed_batch"), std::string::npos);
 }
 
 TEST(Metrics, SnapshotRendersKeyFields) {
@@ -726,10 +729,12 @@ TEST(Metrics, SnapshotRendersKeyFields) {
   m.completed.store(8);
   m.cache_hits.store(6);
   m.cache_misses.store(2);
-  m.e2e_ms.record(1.0);
-  const std::string text = m.snapshot().to_string();
+  m.e2e.record(1.0);
+  const MetricsSnapshot s = m.snapshot();
+  const std::string text = s.to_string();
   EXPECT_NE(text.find("submitted=10"), std::string::npos);
-  EXPECT_NE(text.find("hit_rate=75.0%"), std::string::npos);
+  EXPECT_NE(text.find("cache_hits=6 cache_misses=2"), std::string::npos);
+  EXPECT_DOUBLE_EQ(s.cache_hit_rate(), 0.75);
   EXPECT_NE(text.find("p99"), std::string::npos);
 }
 
