@@ -13,7 +13,10 @@
 #include "bench_common.hpp"
 #include "core/features.hpp"
 #include "ghn/ghn2.hpp"
+#include "ghn/grad.hpp"
 #include "ghn/infer.hpp"
+#include "ghn/trainer.hpp"
+#include "graph/darts.hpp"
 #include "graph/models.hpp"
 #include "regress/linear.hpp"
 #include "regress/log_target.hpp"
@@ -135,6 +138,53 @@ void BM_Embed_FastF64(benchmark::State& state) {
   state.SetLabel(g.name() + " (" + std::to_string(g.num_nodes()) + " nodes)");
 }
 BENCHMARK(BM_Embed_FastF64)->DenseRange(0, kNumEmbedModels - 1);
+
+// One training step's gradient for one graph — the unit GhnTrainer runs
+// 96 × 24 times per dataset: five graphs of the default DARTS training
+// corpus (Arg 0-4) and resnet50 (Arg 5), at the default GhnConfig.
+graph::CompGraph grad_bench_graph(std::int64_t i) {
+  if (i == 5) return graph::build_model("resnet50", {3, 32, 32}, 10);
+  return graph::sample_darts_corpus(5, ghn::TrainerConfig{}.seed)
+      [static_cast<std::size_t>(i)];
+}
+
+// Baseline: forward + backward on the autograd tape (what GhnTrainer ran
+// before the hand-written reverse pass).
+void BM_GhnGrad_Tape(benchmark::State& state) {
+  Rng rng(4);
+  ghn::Ghn2 ghn(ghn::GhnConfig{}, rng);
+  nn::Linear head(ghn.config().hidden_dim, ghn::kNumTargets, rng);
+  const graph::CompGraph g = grad_bench_graph(state.range(0));
+  const Matrix target = Matrix::row_vector(ghn::complexity_targets(g));
+  for (auto _ : state) {
+    nn::Ctx ctx;
+    ag::Var loss =
+        ag::mse(head.forward(ctx, ghn.embed(ctx, g)), ctx.constant(target));
+    ctx.backward(loss);
+    for (Matrix* p : ghn.parameters()) benchmark::DoNotOptimize(ctx.grad(*p));
+    for (Matrix* p : head.parameters()) benchmark::DoNotOptimize(ctx.grad(*p));
+  }
+  state.SetLabel(g.name() + " (" + std::to_string(g.num_nodes()) + " nodes)");
+}
+BENCHMARK(BM_GhnGrad_Tape)->DenseRange(0, 5)->Unit(benchmark::kMillisecond);
+
+// The training path: GhnGradient's tape-free reverse pass, bit-identical
+// to the tape (tests/ghn_grad_test.cpp), on a warm arena.
+void BM_GhnGrad_Hand(benchmark::State& state) {
+  Rng rng(4);
+  ghn::Ghn2 ghn(ghn::GhnConfig{}, rng);
+  nn::Linear head(ghn.config().hidden_dim, ghn::kNumTargets, rng);
+  const graph::CompGraph g = grad_bench_graph(state.range(0));
+  const Vector target = ghn::complexity_targets(g);
+  const ghn::GhnGradient grad(ghn);
+  std::vector<Matrix> grads;
+  grad.loss_and_grads(g, head, target, grads);  // warm the arena
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(grad.loss_and_grads(g, head, target, grads));
+  }
+  state.SetLabel(g.name() + " (" + std::to_string(g.num_nodes()) + " nodes)");
+}
+BENCHMARK(BM_GhnGrad_Hand)->DenseRange(0, 5)->Unit(benchmark::kMillisecond);
 
 // Batched multi-graph embedding: one embed_batch_into pass over `width`
 // copies of the same mid-sized graph (resnet50), so items/s is directly

@@ -36,8 +36,8 @@
 // Cold-miss rows exercise the batched embedding pipeline (DESIGN.md §12):
 // every cache miss in a dispatch joins one multi-graph embed_batch_into
 // pass and duplicate fingerprints coalesce onto a single forward pass.  The
-// embatch telemetry printed after each cold run shows how wide the passes
-// actually ran.
+// embed_batch metrics line printed after each cold run shows how wide the
+// passes actually ran.
 //
 // `--family cnn|transformers|all` picks the workload population: the
 // Table II CIFAR-10 rows (default), the bert/gpt families on wikitext103,
@@ -52,6 +52,7 @@
 // with static dispatch, driven through the loopback rpc front-end.
 // Exits nonzero unless every request succeeded, the wire saw zero frame
 // errors, and completed == cache_hits + cache_misses + reuse_hits.
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <thread>
@@ -173,29 +174,6 @@ RunStats closed_loop(serve::PredictionService& service,
   s.submitted = threads * rounds * reqs.size();
   s.metrics = service.metrics();
   return s;
-}
-
-void print_feedback_counters(const serve::MetricsSnapshot& m) {
-  std::printf(
-      "feedback: observed=%llu rejected=%llu drift_events=%llu "
-      "refits=%llu/%llu (failed=%llu) engine_swaps=%llu\n",
-      static_cast<unsigned long long>(m.observations_ingested),
-      static_cast<unsigned long long>(m.observations_rejected),
-      static_cast<unsigned long long>(m.drift_events),
-      static_cast<unsigned long long>(m.refits_completed),
-      static_cast<unsigned long long>(m.refits_started),
-      static_cast<unsigned long long>(m.refits_failed),
-      static_cast<unsigned long long>(m.engine_swaps));
-}
-
-void print_batch_telemetry(const serve::MetricsSnapshot& m) {
-  std::printf(
-      "embatch: batches=%llu graphs=%llu mean_width=%.2f coalesced=%llu",
-      static_cast<unsigned long long>(m.embed_batches),
-      static_cast<unsigned long long>(m.embed_batch_graphs),
-      m.mean_embed_batch_width(),
-      static_cast<unsigned long long>(m.embed_coalesced));
-  std::printf("\n");
 }
 
 // Mean client-side wall time one request occupies one thread for — the
@@ -339,16 +317,34 @@ int run(double feedback_rate, double feedback_skew, const std::string& family,
   base.precision = precision;
   std::printf("embed engine: precision=%s dispatch=%s\n",
               ghn::precision_name(precision), simd::active_level_name());
-  RunStats nocache;
+  // The open-loop rates below scale from this row's throughput, so it is
+  // measured warm and as the median of three runs: one untimed pass first
+  // pays the process's one-off costs (the registry's embed-engine snapshot,
+  // page faults, allocator growth) that once halved the first timed row,
+  // then each repeat gets a fresh service so its metrics are its own.
+  serve::ServiceConfig nocache_cfg = base;
+  nocache_cfg.cache_enabled = false;
   {
-    serve::ServiceConfig cfg = base;
-    cfg.cache_enabled = false;
-    serve::PredictionService service(pddl, cfg);
-    nocache = closed_loop(service, reqs, kThreads, kRounds);
-    add_row(table, "closed", false, std::to_string(kThreads) + " threads",
-            nocache);
-    print_batch_telemetry(nocache.metrics);
+    serve::PredictionService warm(pddl, nocache_cfg);
+    closed_loop(warm, reqs, kThreads, /*rounds=*/2);
   }
+  std::vector<RunStats> repeats;
+  for (int i = 0; i < 3; ++i) {
+    serve::PredictionService service(pddl, nocache_cfg);
+    repeats.push_back(closed_loop(service, reqs, kThreads, kRounds));
+  }
+  std::sort(repeats.begin(), repeats.end(),
+            [](const RunStats& a, const RunStats& b) {
+              return a.throughput_rps() < b.throughput_rps();
+            });
+  const RunStats nocache = repeats[1];
+  add_row(table, "closed", false, std::to_string(kThreads) + " threads",
+          nocache);
+  std::printf("uncached closed loop, 3 runs: %.0f / %.0f / %.0f rps "
+              "(median is the capacity)\n",
+              repeats[0].throughput_rps(), repeats[1].throughput_rps(),
+              repeats[2].throughput_rps());
+  std::printf("%s", nocache.metrics.section_text("embed_batch").c_str());
 
   // --- Closed loop, warm cache: repeat traffic skips the forward pass. ---
   RunStats cached;
@@ -435,7 +431,7 @@ int run(double feedback_rate, double feedback_skew, const std::string& family,
         "\nfeedback interleave: rate=%.2f skew=%+.0f%% — %.0f rps with "
         "observations riding along\n",
         feedback_rate, 100.0 * feedback_skew, s.throughput_rps());
-    print_feedback_counters(service.metrics());
+    std::printf("%s", service.metrics().section_text("feedback").c_str());
     write_metrics_json(service.metrics(), "serve_loadgen_feedback.json");
   }
   const double local_us = us_per_request(local, kThreads);
@@ -477,7 +473,9 @@ int run_remote(const std::string& host, std::uint16_t port,
   emit(table, "serve_loadgen --remote — rpc front-end under load",
        "serve_loadgen_remote.csv");
   write_metrics_json(s.metrics, "serve_loadgen_metrics.json");
-  if (feedback_rate > 0.0) print_feedback_counters(s.metrics);
+  if (feedback_rate > 0.0) {
+    std::printf("%s", s.metrics.section_text("feedback").c_str());
+  }
   std::printf("%s", s.metrics.to_string().c_str());
   return s.ok == s.submitted ? 0 : 1;
 }
@@ -521,7 +519,7 @@ int run_smoke(const std::string& family, ghn::Precision precision) {
   server.stop();
 
   const serve::MetricsSnapshot& m = s.metrics;
-  print_batch_telemetry(m);
+  std::printf("%s", m.section_text("embed_batch").c_str());
   const bool all_ok = s.ok == s.submitted;
   const bool no_frame_errors = m.rpc_frame_errors == 0;
   const bool accounted =

@@ -111,12 +111,13 @@ Var matmul(Var a, Var b) {
   Matrix out = pddl::matmul(a.value(), b.value());
   return t->make_node(
       std::move(out), {a, b}, [a, b](Tape& tp, const Matrix& g) {
-        // dA = g·Bᵀ ; dB = Aᵀ·g.
+        // dA = g·Bᵀ ; dB = Aᵀ·g — both read the stored operand in place
+        // (no transposed copy) and keep matmul's ascending-k order.
         if (tp.needs_grad(a.id)) {
-          tp.accumulate(a.id, pddl::matmul(g, tp.value(b.id).transposed()));
+          tp.accumulate(a.id, pddl::matmul_transposed_b(g, tp.value(b.id)));
         }
         if (tp.needs_grad(b.id)) {
-          tp.accumulate(b.id, pddl::matmul(tp.value(a.id).transposed(), g));
+          tp.accumulate(b.id, pddl::matmul_transposed_a(tp.value(a.id), g));
         }
       });
 }

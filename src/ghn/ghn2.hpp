@@ -48,10 +48,12 @@ class Ghn2 final : public nn::Module {
   const GhnConfig& config() const { return cfg_; }
 
   // Differentiable graph embedding (1 × hidden_dim) on the caller's tape.
-  // Used by the surrogate trainer.
+  // The reference arithmetic: GhnGradient (training, grad.hpp) and
+  // GhnInference (serving, infer.hpp) are tested bit for bit against it;
+  // nothing in src/ outside this file calls it.
   nn::Var embed(nn::Ctx& ctx, const graph::CompGraph& g);
 
-  // Inference convenience: runs a private tape and returns the plain vector.
+  // Runs a private tape and returns the plain vector (test/bench oracle).
   Vector embedding(const graph::CompGraph& g);
 
   // Marks the cached ghn_checksum dirty: handing out mutable parameter

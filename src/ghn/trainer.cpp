@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cmath>
 
+#include "ghn/grad.hpp"
+#include "ghn/infer.hpp"
 #include "parallel/parallel_for.hpp"
 
 namespace pddl::ghn {
@@ -78,32 +80,20 @@ void GhnTrainer::fit_standardization() {
     s = std::sqrt(s / static_cast<double>(raw.size()));
     if (s < 1e-8) s = 1.0;  // constant target → leave unscaled
   }
-  targets_.reserve(raw.size());
-  for (Vector& t : raw) {
-    for (std::size_t k = 0; k < kNumTargets; ++k) {
-      t[k] = (t[k] - target_mean_[k]) / target_std_[k];
-    }
-    targets_.push_back(std::move(t));
-  }
 }
 
-double GhnTrainer::graph_loss_and_grads(const CompGraph& g,
-                                        std::vector<Matrix>& grads) {
-  // Targets for held-out graphs are computed on the fly.
+Vector GhnTrainer::standardized_targets(const CompGraph& g) const {
   Vector t = complexity_targets(g);
   for (std::size_t k = 0; k < kNumTargets; ++k) {
     t[k] = (t[k] - target_mean_[k]) / target_std_[k];
   }
-  nn::Ctx ctx;
-  ag::Var emb = ghn_.embed(ctx, g);
-  ag::Var pred = head_.forward(ctx, emb);
-  ag::Var loss = ag::mse(pred, ctx.constant(Matrix::row_vector(t)));
-  const double loss_val = loss.value()(0, 0);
-  ctx.backward(loss);
-  grads.clear();
-  grads.reserve(params_.size());
-  for (Matrix* p : params_) grads.push_back(ctx.grad(*p));
-  return loss_val;
+  return t;
+}
+
+double GhnTrainer::graph_loss_and_grads(const CompGraph& g,
+                                        std::vector<Matrix>& grads) {
+  return GhnGradient(ghn_).loss_and_grads(g, head_, standardized_targets(g),
+                                          grads);
 }
 
 TrainReport GhnTrainer::train(ThreadPool& pool, double time_budget_s) {
@@ -125,8 +115,8 @@ TrainReport GhnTrainer::train(ThreadPool& pool, double time_budget_s) {
       const std::size_t end =
           std::min(order.size(), start + cfg_.batch_size);
       const std::size_t bs = end - start;
-      // Parallel per-graph gradient evaluation (one tape per graph); the
-      // parameter matrices are read-only during this phase.
+      // Parallel per-graph gradient evaluation (one GhnGradient pass per
+      // graph); the parameter matrices are read-only during this phase.
       std::vector<std::vector<Matrix>> batch_grads(bs);
       std::vector<double> batch_loss(bs);
       parallel_for(pool, 0, bs, [&](std::size_t i) {
@@ -172,18 +162,14 @@ TrainReport GhnTrainer::train(ThreadPool& pool, double time_budget_s) {
 
 double GhnTrainer::evaluate(const std::vector<CompGraph>& graphs) {
   PDDL_CHECK(!graphs.empty(), "evaluate: empty graph set");
+  const GhnInference engine(ghn_, Precision::kF64);
+  Vector emb;
+  Vector residual(kNumTargets);
   double total = 0.0;
-  std::vector<Matrix> unused;
   for (const CompGraph& g : graphs) {
-    // Reuse the loss path but skip backward: cheaper to just recompute.
-    Vector t = complexity_targets(g);
-    for (std::size_t k = 0; k < kNumTargets; ++k) {
-      t[k] = (t[k] - target_mean_[k]) / target_std_[k];
-    }
-    nn::Ctx ctx;
-    ag::Var pred = head_.forward(ctx, ghn_.embed(ctx, g));
-    ag::Var loss = ag::mse(pred, ctx.constant(Matrix::row_vector(t)));
-    total += loss.value()(0, 0);
+    engine.embed_into(g, emb);
+    total += head_mse(head_, emb.data(), standardized_targets(g),
+                      residual.data());
   }
   return total / static_cast<double>(graphs.size());
 }

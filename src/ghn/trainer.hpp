@@ -59,7 +59,7 @@ class GhnTrainer {
              std::vector<graph::CompGraph> corpus);
 
   // Trains in place; gradient evaluation over a minibatch is parallelised on
-  // `pool` (one tape per graph, summed gradients).  A positive
+  // `pool` (one GhnGradient pass per graph, summed gradients).  A positive
   // `time_budget_s` stops at the first epoch boundary past the budget
   // (always completing at least one epoch); epochs consumed are reported in
   // TrainReport::epochs_run.  The budget only affects *how many* epochs run,
@@ -71,10 +71,13 @@ class GhnTrainer {
   double evaluate(const std::vector<graph::CompGraph>& graphs);
 
  private:
-  // Loss of one graph on a fresh tape; fills `grads` (one per parameter).
+  // Loss of one graph through GhnGradient's tape-free reverse pass; fills
+  // `grads` (one per parameter, params_ order).
   double graph_loss_and_grads(const graph::CompGraph& g,
                               std::vector<Matrix>& grads);
-  // Fits target_mean_/target_std_ on corpus_ and fills targets_.
+  // complexity_targets(g) standardized with the corpus statistics.
+  Vector standardized_targets(const graph::CompGraph& g) const;
+  // Fits target_mean_/target_std_ on corpus_.
   void fit_standardization();
 
   Ghn2& ghn_;
@@ -84,7 +87,6 @@ class GhnTrainer {
   // Per-target standardization fitted on the corpus.
   Vector target_mean_, target_std_;
   std::vector<graph::CompGraph> corpus_;
-  std::vector<Vector> targets_;  // standardized
 };
 
 }  // namespace pddl::ghn

@@ -65,24 +65,6 @@ Var Linear::forward(Ctx& ctx, Var x) {
   return y;
 }
 
-void Linear::forward_row(const double* x, double* y) const {
-  const std::size_t in = w_.rows(), out = w_.cols();
-  std::fill(y, y + out, 0.0);
-  // Same operation order as the tape path — ascending-k accumulation first
-  // (matmul), bias added afterwards (add_row_broadcast) — so the row
-  // matches forward() bit-for-bit.
-  for (std::size_t k = 0; k < in; ++k) {
-    const double xk = x[k];
-    if (xk == 0.0) continue;
-    const double* wrow = w_.row_ptr(k);
-    for (std::size_t j = 0; j < out; ++j) y[j] += xk * wrow[j];
-  }
-  if (has_bias_) {
-    const double* b = b_.data();
-    for (std::size_t j = 0; j < out; ++j) y[j] += b[j];
-  }
-}
-
 std::vector<Matrix*> Linear::parameters() {
   std::vector<Matrix*> ps{&w_};
   if (has_bias_) ps.push_back(&b_);
@@ -110,24 +92,6 @@ std::size_t Mlp::max_width() const {
   std::size_t w = in_features();
   for (const Linear& l : layers_) w = std::max(w, l.out_features());
   return w;
-}
-
-void Mlp::forward_row(const double* x, double* y, double* scratch) const {
-  const std::size_t half = max_width();
-  double* ping = scratch;
-  double* pong = scratch + half;
-  const double* cur = x;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    double* dst = i + 1 == layers_.size() ? y : (i % 2 == 0 ? ping : pong);
-    layers_[i].forward_row(cur, dst);
-    if (i + 1 < layers_.size()) {
-      const std::size_t w = layers_[i].out_features();
-      for (std::size_t j = 0; j < w; ++j) {
-        dst[j] = activate_scalar(dst[j], hidden_act_);
-      }
-    }
-    cur = dst;
-  }
 }
 
 std::vector<Matrix*> Mlp::parameters() {

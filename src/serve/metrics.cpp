@@ -340,16 +340,19 @@ std::string render(const T& v, MetricKind kind, bool json) {
 std::string label(const std::string& name) {
   return strprintf("  %-9s: ", name.c_str());
 }
-}  // namespace
 
-std::string MetricsSnapshot::to_string() const {
-  std::string out = "serve metrics\n";
+// The dump lines of every section (only == nullptr), or of the one section
+// `*only`.  A section's scalar rows render as one line, shown in the full
+// dump once any of them is nonzero and always when asked for by name; each
+// histogram follows on its own line once it holds a sample.
+std::string dump_lines(const MetricsSnapshot& m, const std::string* only) {
+  std::string out;
   std::string section;
   std::string line;        // the current section's scalar rows
   std::string histograms;  // its histogram rows, one line each
   bool nonzero = false;
   auto flush = [&] {
-    if (nonzero) {
+    if (nonzero || (only != nullptr && !line.empty())) {
       out += label(section.empty() ? "requests" : section) + line + "\n";
     }
     out += histograms;
@@ -357,7 +360,8 @@ std::string MetricsSnapshot::to_string() const {
     histograms.clear();
     nonzero = false;
   };
-  for_each_field([&](const MetricField& f, const auto& v) {
+  m.for_each_field([&](const MetricField& f, const auto& v) {
+    if (only != nullptr && *only != f.section) return;
     if (section != f.section) {
       flush();
       section = f.section;
@@ -376,6 +380,15 @@ std::string MetricsSnapshot::to_string() const {
   });
   flush();
   return out;
+}
+}  // namespace
+
+std::string MetricsSnapshot::to_string() const {
+  return "serve metrics\n" + dump_lines(*this, nullptr);
+}
+
+std::string MetricsSnapshot::section_text(const std::string& section) const {
+  return dump_lines(*this, &section);
 }
 
 std::string MetricsSnapshot::to_json() const {

@@ -170,6 +170,7 @@ using SlotCounts = std::array<std::uint64_t, kMaxTrackedBatchSize + 1>;
   REUSE(reuse_hits, "reuse", hits, U64) /* within-ε neighbour served */      \
   REUSE(reuse_rejected, "reuse", rejected, U64) /* nearest beyond ε */       \
   REUSE(reuse_misses, "reuse", misses, U64) /* nothing past prefilter */     \
+  REUSE(reuse_probes, "reuse", probes, U64) /* = hits + rejected + misses */ \
   REUSE(reuse_inserts, "reuse", inserts, U64)                                \
   REUSE(reuse_evictions, "reuse", evictions, U64)                            \
   REUSE(reuse_invalidations, "reuse", invalidations, U64) /* GHN swaps */    \
@@ -293,6 +294,9 @@ struct MetricsSnapshot {
   // server and the load generator's per-run report): one line per section
   // and one per histogram, each shown once it holds a nonzero value.
   std::string to_string() const;
+  // The to_string() lines of one section ("" = the top-level requests
+  // line), printed even when every counter in it is zero.
+  std::string section_text(const std::string& section) const;
 
   // Single-object JSON rendering of every row, sections as nested objects.
   // One implementation shared by the rpc `stats` consumers (predict_client

@@ -218,6 +218,23 @@ Matrix matmul_transposed_b(const Matrix& a, const Matrix& bt) {
   return out;
 }
 
+Matrix matmul_transposed_a(const Matrix& a, const Matrix& b) {
+  PDDL_CHECK(a.rows() == b.rows(), "matmul_transposed_a shape mismatch: (",
+             a.rows(), "x", a.cols(), ")ᵀ · ", b.rows(), "x", b.cols());
+  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
+  Matrix out(k, n);
+  for (std::size_t r = 0; r < m; ++r) {
+    const double* arow = a.row_ptr(r);
+    const double* brow = b.row_ptr(r);
+    for (std::size_t i = 0; i < k; ++i) {
+      const double ari = arow[i];
+      if (ari == 0.0) continue;
+      simd::axpy_f64(out.row_ptr(i), brow, ari, n);
+    }
+  }
+  return out;
+}
+
 Vector matvec(const Matrix& a, const Vector& x) {
   PDDL_CHECK(a.cols() == x.size(), "matvec shape mismatch");
   Vector y(a.rows(), 0.0);

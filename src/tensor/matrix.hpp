@@ -118,6 +118,13 @@ Matrix matmul(const Matrix& a, const Matrix& b);
 // against pre-transposed weight matrices); per-element summation order
 // matches matmul(a, b), so results agree bit-for-bit.
 Matrix matmul_transposed_b(const Matrix& a, const Matrix& bt);
+// C = Aᵀ·B with A supplied untransposed (`a` is m×k, `b` is m×n, C is k×n):
+// row r of A scatters a[r][i]·b[r] into C's row i, so both operands stream
+// with unit stride and no transposed copy is materialised.  Each element
+// accumulates its partial sums in ascending-r order with matmul's zero-skip,
+// so the result is bit-identical to matmul(a.transposed(), b).  The
+// autograd matmul backward uses it for dB = Aᵀ·g.
+Matrix matmul_transposed_a(const Matrix& a, const Matrix& b);
 // Raw-pointer row kernel behind matmul_transposed_b, reusable by callers
 // that manage their own buffers (the tape-free GHN inference engine):
 // y[j] = Σ_k x[k]·bt[j·k_dim + k] (+ bias[j] when bias != nullptr).

@@ -90,6 +90,11 @@ struct GradCheckCase {
   std::size_t rows, cols;
 };
 
+// Without this gtest prints the raw bytes of the case, including the
+// address of `name`, which moves between runs and so gives the ctest
+// entries a different name on every build.
+void PrintTo(const GradCheckCase& tc, std::ostream* os) { *os << tc.name; }
+
 class GradCheck : public ::testing::TestWithParam<GradCheckCase> {};
 
 TEST_P(GradCheck, MatchesFiniteDifferences) {

@@ -6,8 +6,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <new>
 #include <set>
 #include <vector>
 
@@ -19,31 +17,7 @@
 #include "parallel/thread_pool.hpp"
 #include "tensor/simd.hpp"
 
-// ---- allocation-counting hook ----
-// The test binary replaces global operator new so individual tests can
-// assert that a code region performs zero heap allocations.  Counting is
-// per-thread and off by default, so gtest machinery and other threads are
-// unaffected.
-namespace {
-std::atomic<bool> g_count_allocs{false};
-thread_local std::size_t t_alloc_count = 0;
-}  // namespace
-
-// The replaced operator new below is malloc-backed, so free() in the
-// replaced operator delete is the matching deallocator; GCC cannot see the
-// pairing at inlined call sites and warns spuriously.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-
-void* operator new(std::size_t sz) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) ++t_alloc_count;
-  if (void* p = std::malloc(sz == 0 ? 1 : sz)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t sz) { return ::operator new(sz); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "alloc_counting.hpp"
 
 namespace pddl::ghn {
 namespace {

@@ -19,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <filesystem>
 #include <map>
 #include <thread>
@@ -231,6 +232,13 @@ TEST_F(RetrainTest, GhnDriftRetrainsAndRecoversTheDriftedFamily) {
   EXPECT_GE(s.last_family_graphs, 1u);  // bert_tiny joined the corpus
   EXPECT_GT(s.last_epochs_run, 0);
   EXPECT_TRUE(s.last_error.empty()) << s.last_error;
+  // The fine-tune's wall time, for before/after comparisons of the
+  // training path (README "Retraining the GHN online").
+  std::printf("[ fine-tune ] %d epochs on %llu graphs in %.3f s\n",
+              s.last_epochs_run,
+              static_cast<unsigned long long>(s.last_corpus_graphs),
+              s.last_train_seconds);
+  RecordProperty("fine_tune_seconds", std::to_string(s.last_train_seconds));
 
   // The swap replaced the GHN generation...
   EXPECT_NE(s.live_checksum, 0u);

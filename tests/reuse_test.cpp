@@ -747,6 +747,8 @@ TEST_F(ReuseServeTest, NearDuplicateServedFromIndexWithTaggedConfidence) {
   EXPECT_EQ(m.completed, 2u);
   EXPECT_EQ(m.completed, m.cache_hits + m.cache_misses + m.reuse_hits);
   EXPECT_EQ(m.reuse_hits, 1u);
+  EXPECT_EQ(m.reuse_probes, m.reuse_hits + m.reuse_rejected + m.reuse_misses);
+  EXPECT_EQ(m.reuse_probes, 2u);  // both cache misses probed the index
   EXPECT_EQ(m.cache_misses, 1u);
   EXPECT_EQ(m.reuse_entries, 1u);   // only the fresh embed was indexed
   EXPECT_EQ(m.cache_entries, 1u);   // reused request not cached under its fp
@@ -902,6 +904,13 @@ TEST_F(ReuseServeTest, ReuseCountersSurfaceInTextOnceActive) {
   const serve::MetricsSnapshot m = service.metrics();
   EXPECT_NE(m.to_string().find("reuse"), std::string::npos);
   EXPECT_NE(m.to_json().find("\"distance\""), std::string::npos);
+  // The probe counter rides in every rendering, so the dump alone shows
+  // probes == hits + rejected + misses.
+  const std::string probes = "probes=" + std::to_string(m.reuse_probes);
+  EXPECT_NE(m.to_string().find(probes), std::string::npos);
+  EXPECT_NE(m.to_json().find("\"probes\":" + std::to_string(m.reuse_probes)),
+            std::string::npos);
+  EXPECT_EQ(m.reuse_probes, m.reuse_hits + m.reuse_rejected + m.reuse_misses);
 }
 
 TEST_F(ReuseServeTest, ExecutePlanServesAnchorsFreshAndReusesTheRest) {

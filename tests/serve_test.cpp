@@ -576,6 +576,17 @@ TEST(Metrics, TextDumpKeepsTheTokensTheSmokeChecksGrepFor) {
   EXPECT_NE(text.find("ghn_swaps=1 cache_stale_drops=0"), std::string::npos);
 }
 
+TEST(Metrics, SectionTextIsTheDumpLineOfOneSectionEvenWhenZero) {
+  MetricsSnapshot s;
+  EXPECT_EQ(s.to_string().find("feedback"), std::string::npos);
+  EXPECT_EQ(s.section_text("feedback").rfind("  feedback : ", 0), 0u);
+  s.refits_completed = 2;
+  const std::string line = s.section_text("feedback");
+  EXPECT_NE(s.to_string().find(line), std::string::npos);
+  EXPECT_NE(line.find("refits_completed=2"), std::string::npos);
+  EXPECT_EQ(line.find("embed_batch"), std::string::npos);
+}
+
 TEST(Metrics, BatchSizeDistributionTracksExactSlotsAndOverflow) {
   ServiceMetrics m;
   m.record_batch_size(0);  // empty dispatch: not a batch, not counted

@@ -130,6 +130,24 @@ TEST(Matrix, MatmulTransposedBMatchesMatmul) {
   }
 }
 
+TEST(Matrix, MatmulTransposedABitIdenticalToMatmulOfTranspose) {
+  // Aᵀ·B without the transposed copy must keep matmul's summation order
+  // exactly: the autograd matmul backward relies on it (dB = Aᵀ·g), and
+  // GHN training is chaotic enough that one ulp changes the trained model.
+  Rng rng(44);
+  for (const auto& s : {std::array<std::size_t, 3>{1, 16, 16},
+                        std::array<std::size_t, 3>{9, 33, 7},
+                        std::array<std::size_t, 3>{70, 40, 300},
+                        std::array<std::size_t, 3>{100, 5, 400}}) {
+    Matrix a = Matrix::randn(s[0], s[1], rng);
+    a(0, 0) = 0.0;  // the zero-skip path
+    const Matrix b = Matrix::randn(s[0], s[2], rng);
+    EXPECT_EQ(matmul_transposed_a(a, b), matmul(a.transposed(), b))
+        << s[0] << "x" << s[1] << "x" << s[2];
+  }
+  EXPECT_THROW(matmul_transposed_a(Matrix(2, 3), Matrix(3, 2)), Error);
+}
+
 TEST(Matrix, DotRowsTransposedAppliesOptionalBias) {
   const Matrix bt{{1, 2}, {3, 4}, {5, 6}};  // B is 2x3, supplied transposed
   const double x[2] = {10.0, 1.0};
