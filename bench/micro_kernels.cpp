@@ -23,6 +23,7 @@
 #include "simulator/ddl_simulator.hpp"
 #include "tensor/linalg.hpp"
 #include "tensor/nnls.hpp"
+#include "tensor/simd.hpp"
 
 namespace {
 
@@ -46,7 +47,7 @@ void BM_CholeskySolve(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(2);
   Matrix a = Matrix::randn(n, n, rng);
-  Matrix spd = matmul(a.transposed(), a);
+  Matrix spd = gram(a);
   for (std::size_t i = 0; i < n; ++i) spd(i, i) += n;
   Vector b(n, 1.0);
   for (auto _ : state) {
@@ -237,10 +238,13 @@ void BM_SimulateRun(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulateRun);
 
+// The poly2 fit at the workloads' shape: 50 raw features (1325 basis
+// columns) over the offline_train campaign's 992 training rows and over
+// 2048 rows (the what-if NAS fit).
 void BM_PolyFit(benchmark::State& state) {
   Rng rng(6);
   regress::RegressionData d;
-  d.x = Matrix::randn(static_cast<std::size_t>(state.range(0)), 47, rng);
+  d.x = Matrix::randn(static_cast<std::size_t>(state.range(0)), 50, rng);
   d.y.resize(d.x.rows());
   for (std::size_t i = 0; i < d.y.size(); ++i) {
     d.y[i] = std::exp(d.x(i, 0));
@@ -252,11 +256,36 @@ void BM_PolyFit(benchmark::State& state) {
     benchmark::DoNotOptimize(pr);
   }
 }
-BENCHMARK(BM_PolyFit)->Arg(500)->Arg(2000);
+BENCHMARK(BM_PolyFit)->Arg(992)->Arg(2048)->Unit(benchmark::kMillisecond);
+
+// The fit's two kernels at the poly2 width (1325 columns): the Gram matrix
+// over 992 and 2048 rows, and the Cholesky factor of the ridge system.
+constexpr std::size_t kPolyBasis = 1325;
+
+void BM_Gram(benchmark::State& state) {
+  Rng rng(8);
+  const Matrix x =
+      Matrix::randn(static_cast<std::size_t>(state.range(0)), kPolyBasis, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(gram(x));
+  }
+}
+BENCHMARK(BM_Gram)->Arg(992)->Arg(2048)->Unit(benchmark::kMillisecond);
+
+void BM_Cholesky(benchmark::State& state) {
+  Rng rng(9);
+  Matrix spd = gram(Matrix::randn(2048, kPolyBasis, rng));
+  for (std::size_t i = 0; i < kPolyBasis; ++i) spd(i, i) += 1e-3;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cholesky(spd));
+  }
+}
+BENCHMARK(BM_Cholesky)->Unit(benchmark::kMillisecond);
 
 // One poly2 prediction at the serving width (50 raw features: 32-d embedding
-// ⊕ 10 cluster ⊕ 8 workload scalars; 47 is the width BM_PolyFit fits), the
-// per-request regressor cost that BM_PolyFit does not time.
+// ⊕ 10 cluster ⊕ 8 workload scalars, the width BM_PolyFit fits; 47 is the
+// earlier serving width), the per-request regressor cost that BM_PolyFit
+// does not time.
 void BM_PolyPredict(benchmark::State& state) {
   const auto width = static_cast<std::size_t>(state.range(0));
   Rng rng(7);
@@ -367,6 +396,7 @@ int main(int argc, char** argv) {
     if (std::string_view(argv[i]) == "--pddl-csv") return pddl_csv_main();
   }
   benchmark::Initialize(&argc, argv);
+  benchmark::AddCustomContext("simd_dispatch", simd::active_level_name());
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

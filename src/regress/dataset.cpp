@@ -161,15 +161,20 @@ Vector StandardScaler::transform(const Vector& row) const {
 }
 
 Matrix StandardScaler::transform(const Matrix& x) const {
+  Matrix out = x;
+  transform_inplace(out);
+  return out;
+}
+
+void StandardScaler::transform_inplace(Matrix& x) const {
   PDDL_CHECK(fitted(), "scaler not fitted");
   PDDL_CHECK(x.cols() == mean_.size(), "scaler feature count mismatch");
-  Matrix out(x.rows(), x.cols());
   for (std::size_t i = 0; i < x.rows(); ++i) {
+    double* row = x.row_ptr(i);
     for (std::size_t j = 0; j < x.cols(); ++j) {
-      out(i, j) = (x(i, j) - mean_[j]) / std_[j];
+      row[j] = (row[j] - mean_[j]) / std_[j];
     }
   }
-  return out;
 }
 
 void StandardScaler::save(io::BinaryWriter& w) const {

@@ -65,6 +65,8 @@ class StandardScaler {
   bool fitted() const { return !mean_.empty(); }
   Vector transform(const Vector& row) const;
   Matrix transform(const Matrix& x) const;
+  // transform(x) written over x, with no second n×f matrix.
+  void transform_inplace(Matrix& x) const;
 
   const Vector& mean() const { return mean_; }
   const Vector& stddev() const { return std_; }

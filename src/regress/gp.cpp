@@ -1,6 +1,7 @@
 #include "regress/gp.hpp"
 
 #include <cmath>
+#include <utility>
 
 namespace pddl::regress {
 
@@ -38,7 +39,7 @@ void GaussianProcess::fit(const RegressionData& data) {
     }
     k(i, i) += cfg_.noise_var + 1e-10;  // jitter for numerical stability
   }
-  chol_l_ = cholesky(k);
+  chol_l_ = cholesky(std::move(k));
   // α = K⁻¹ yc via the factor: solve L (Lᵀ α) = yc.
   Vector tmp(n);
   for (std::size_t i = 0; i < n; ++i) {

@@ -1,30 +1,37 @@
 #include "regress/linear.hpp"
 
+#include <utility>
+
 #include "tensor/linalg.hpp"
 
 namespace pddl::regress {
 
 void LinearRegression::fit(const RegressionData& data) {
-  PDDL_CHECK(data.size() > 0 && data.num_features() > 0,
-             "cannot fit on empty data");
-  scaler_.fit(data.x);
-  const Matrix xs = scaler_.transform(data.x);
-  const std::size_t n = xs.rows(), f = xs.cols();
+  fit_design(data.x, data.y);
+}
+
+void LinearRegression::fit_design(Matrix x, const Vector& y) {
+  PDDL_CHECK(y.size() > 0 && x.cols() > 0, "cannot fit on empty data");
+  PDDL_CHECK(x.rows() == y.size(), "design matrix has ", x.rows(),
+             " rows but ", y.size(), " labels");
+  scaler_.fit(x);
+  scaler_.transform_inplace(x);
+  const std::size_t n = x.rows(), f = x.cols();
 
   // Center the target; the intercept absorbs the mean.
   double ymean = 0.0;
-  for (double v : data.y) ymean += v;
+  for (double v : y) ymean += v;
   ymean /= static_cast<double>(n);
   Vector yc(n);
-  for (std::size_t i = 0; i < n; ++i) yc[i] = data.y[i] - ymean;
+  for (std::size_t i = 0; i < n; ++i) yc[i] = y[i] - ymean;
 
   if (lambda_ > 0.0) {
-    // Ridge: (XᵀX + λI)β = Xᵀy.
-    Matrix xtx = matmul(xs.transposed(), xs);
+    // Ridge: (XᵀX + λI)β = Xᵀy, factored in the Gram matrix's storage.
+    Matrix xtx = gram(x);
     for (std::size_t j = 0; j < f; ++j) xtx(j, j) += lambda_;
-    coef_ = cholesky_solve(xtx, matvec_transposed(xs, yc));
+    coef_ = cholesky_solve(std::move(xtx), matvec_transposed(x, yc));
   } else {
-    coef_ = least_squares_qr(xs, yc);
+    coef_ = least_squares_qr(x, yc);
   }
   intercept_ = ymean;
 }
@@ -70,10 +77,7 @@ Matrix polynomial_expand(const Matrix& x, bool interactions) {
 }
 
 void PolynomialRegression::fit(const RegressionData& data) {
-  RegressionData expanded;
-  expanded.x = polynomial_expand(data.x, interactions_);
-  expanded.y = data.y;
-  inner_.fit(expanded);
+  inner_.fit_design(polynomial_expand(data.x, interactions_), data.y);
   fold();
 }
 

@@ -13,6 +13,9 @@ class LinearRegression : public Regressor {
       : lambda_(ridge_lambda) {}
 
   void fit(const RegressionData& data) override;
+  // fit() on a design matrix it takes over: x is standardized in place, so
+  // the fit holds one n×f matrix, not a raw and a standardized copy.
+  void fit_design(Matrix x, const Vector& y);
   bool fitted() const override { return !coef_.empty(); }
   double predict(const Vector& features) const override;
   std::string name() const override {

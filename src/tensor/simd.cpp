@@ -69,6 +69,43 @@ void axpy_f64_scalar(double* dst, const double* src, double s, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] += s * src[i];
 }
 
+void gram_tile_4x8_f64_scalar(const double* xi, const double* xj,
+                              std::size_t rows, double* c, std::size_t ldc) {
+  double acc[4][8];
+  for (std::size_t a = 0; a < 4; ++a) {
+    for (std::size_t j = 0; j < 8; ++j) acc[a][j] = c[a * ldc + j];
+  }
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* xr = xj + r * 8;
+    for (std::size_t a = 0; a < 4; ++a) {
+      const double xa = xi[r * 8 + a];
+      for (std::size_t j = 0; j < 8; ++j) acc[a][j] += xa * xr[j];
+    }
+  }
+  for (std::size_t a = 0; a < 4; ++a) {
+    for (std::size_t j = 0; j < 8; ++j) c[a * ldc + j] = acc[a][j];
+  }
+}
+
+void cholesky_tile_4x8_f64_scalar(const double* l, std::size_t ldl,
+                                  const double* p, std::size_t k_dim,
+                                  double* c, std::size_t ldc) {
+  double acc[4][8];
+  for (std::size_t a = 0; a < 4; ++a) {
+    for (std::size_t j = 0; j < 8; ++j) acc[a][j] = c[a * ldc + j];
+  }
+  for (std::size_t k = 0; k < k_dim; ++k) {
+    const double* pk = p + k * 8;
+    for (std::size_t a = 0; a < 4; ++a) {
+      const double la = l[a * ldl + k];
+      for (std::size_t j = 0; j < 8; ++j) acc[a][j] -= la * pk[j];
+    }
+  }
+  for (std::size_t a = 0; a < 4; ++a) {
+    for (std::size_t j = 0; j < 8; ++j) c[a * ldc + j] = acc[a][j];
+  }
+}
+
 void dot_rows_transposed_f32_scalar(const float* x, const float* bt,
                                     std::size_t n, std::size_t k_dim,
                                     const float* bias, float* y) {
@@ -270,6 +307,28 @@ void axpy_f64(double* dst, const double* src, double s, std::size_t n) {
   }
 #endif
   detail::axpy_f64_scalar(dst, src, s, n);
+}
+
+void gram_tile_4x8_f64(const double* xi, const double* xj, std::size_t rows,
+                       double* c, std::size_t ldc) {
+#if defined(PDDL_HAVE_AVX2_KERNELS)
+  if (use_avx2()) {
+    detail::gram_tile_4x8_f64_avx2(xi, xj, rows, c, ldc);
+    return;
+  }
+#endif
+  detail::gram_tile_4x8_f64_scalar(xi, xj, rows, c, ldc);
+}
+
+void cholesky_tile_4x8_f64(const double* l, std::size_t ldl, const double* p,
+                           std::size_t k_dim, double* c, std::size_t ldc) {
+#if defined(PDDL_HAVE_AVX2_KERNELS)
+  if (use_avx2()) {
+    detail::cholesky_tile_4x8_f64_avx2(l, ldl, p, k_dim, c, ldc);
+    return;
+  }
+#endif
+  detail::cholesky_tile_4x8_f64_scalar(l, ldl, p, k_dim, c, ldc);
 }
 
 void dot_rows_transposed_f32(const float* x, const float* bt, std::size_t n,

@@ -68,6 +68,19 @@ void gemm_rows_f64(const double* a, std::size_t m, std::size_t k,
 // dst[i] += s · src[i].
 void axpy_f64(double* dst, const double* src, double s, std::size_t n);
 
+// ---- f64 factorization tiles (the blocked loops live in linalg.cpp) ----
+// Gram tile: c[a·ldc + j] += Σ_r xi[r·8 + a]·xj[r·8 + j] for a < 4, j < 8,
+// the rows r < rows added one at a time in ascending order.  xi and xj
+// point into packed 8-column panels of the design matrix (rows × 8,
+// row-major), so this is a 4×8 block of xᵀx continued over `rows` rows.
+void gram_tile_4x8_f64(const double* xi, const double* xj, std::size_t rows,
+                       double* c, std::size_t ldc);
+// Cholesky panel update: c[a·ldc + j] −= l[a·ldl + k]·p[k·8 + j] for a < 4,
+// j < 8, the k < k_dim subtracted one at a time in ascending order.  l is
+// four rows of the factor, p the panel's factor rows packed k-major.
+void cholesky_tile_4x8_f64(const double* l, std::size_t ldl, const double* p,
+                           std::size_t k_dim, double* c, std::size_t ldc);
+
 // ---- f32 kernels (same shapes, single precision) ----
 void dot_rows_transposed_f32(const float* x, const float* bt, std::size_t n,
                              std::size_t k_dim, const float* bias, float* y);

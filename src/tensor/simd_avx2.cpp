@@ -225,6 +225,83 @@ void axpy_f64_avx2(double* dst, const double* src, double s, std::size_t n) {
   for (; i < n; ++i) dst[i] += s * src[i];
 }
 
+// The 4×8 factorization tiles keep their 32 outputs in eight registers
+// (two quads per tile row); each lane owns one output and receives its
+// products in the scalar tile's ascending order.
+void gram_tile_4x8_f64_avx2(const double* xi, const double* xj,
+                            std::size_t rows, double* c, std::size_t ldc) {
+  __m256d c0l = _mm256_loadu_pd(c), c0h = _mm256_loadu_pd(c + 4);
+  __m256d c1l = _mm256_loadu_pd(c + ldc), c1h = _mm256_loadu_pd(c + ldc + 4);
+  __m256d c2l = _mm256_loadu_pd(c + 2 * ldc);
+  __m256d c2h = _mm256_loadu_pd(c + 2 * ldc + 4);
+  __m256d c3l = _mm256_loadu_pd(c + 3 * ldc);
+  __m256d c3h = _mm256_loadu_pd(c + 3 * ldc + 4);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const __m256d bl = _mm256_loadu_pd(xj + r * 8);
+    const __m256d bh = _mm256_loadu_pd(xj + r * 8 + 4);
+    const double* a = xi + r * 8;
+    __m256d av = _mm256_broadcast_sd(a);
+    c0l = _mm256_add_pd(c0l, _mm256_mul_pd(av, bl));
+    c0h = _mm256_add_pd(c0h, _mm256_mul_pd(av, bh));
+    av = _mm256_broadcast_sd(a + 1);
+    c1l = _mm256_add_pd(c1l, _mm256_mul_pd(av, bl));
+    c1h = _mm256_add_pd(c1h, _mm256_mul_pd(av, bh));
+    av = _mm256_broadcast_sd(a + 2);
+    c2l = _mm256_add_pd(c2l, _mm256_mul_pd(av, bl));
+    c2h = _mm256_add_pd(c2h, _mm256_mul_pd(av, bh));
+    av = _mm256_broadcast_sd(a + 3);
+    c3l = _mm256_add_pd(c3l, _mm256_mul_pd(av, bl));
+    c3h = _mm256_add_pd(c3h, _mm256_mul_pd(av, bh));
+  }
+  _mm256_storeu_pd(c, c0l);
+  _mm256_storeu_pd(c + 4, c0h);
+  _mm256_storeu_pd(c + ldc, c1l);
+  _mm256_storeu_pd(c + ldc + 4, c1h);
+  _mm256_storeu_pd(c + 2 * ldc, c2l);
+  _mm256_storeu_pd(c + 2 * ldc + 4, c2h);
+  _mm256_storeu_pd(c + 3 * ldc, c3l);
+  _mm256_storeu_pd(c + 3 * ldc + 4, c3h);
+}
+
+void cholesky_tile_4x8_f64_avx2(const double* l, std::size_t ldl,
+                                const double* p, std::size_t k_dim, double* c,
+                                std::size_t ldc) {
+  __m256d c0l = _mm256_loadu_pd(c), c0h = _mm256_loadu_pd(c + 4);
+  __m256d c1l = _mm256_loadu_pd(c + ldc), c1h = _mm256_loadu_pd(c + ldc + 4);
+  __m256d c2l = _mm256_loadu_pd(c + 2 * ldc);
+  __m256d c2h = _mm256_loadu_pd(c + 2 * ldc + 4);
+  __m256d c3l = _mm256_loadu_pd(c + 3 * ldc);
+  __m256d c3h = _mm256_loadu_pd(c + 3 * ldc + 4);
+  const double* l0 = l;
+  const double* l1 = l + ldl;
+  const double* l2 = l + 2 * ldl;
+  const double* l3 = l + 3 * ldl;
+  for (std::size_t k = 0; k < k_dim; ++k) {
+    const __m256d bl = _mm256_loadu_pd(p + k * 8);
+    const __m256d bh = _mm256_loadu_pd(p + k * 8 + 4);
+    __m256d av = _mm256_broadcast_sd(l0 + k);
+    c0l = _mm256_sub_pd(c0l, _mm256_mul_pd(av, bl));
+    c0h = _mm256_sub_pd(c0h, _mm256_mul_pd(av, bh));
+    av = _mm256_broadcast_sd(l1 + k);
+    c1l = _mm256_sub_pd(c1l, _mm256_mul_pd(av, bl));
+    c1h = _mm256_sub_pd(c1h, _mm256_mul_pd(av, bh));
+    av = _mm256_broadcast_sd(l2 + k);
+    c2l = _mm256_sub_pd(c2l, _mm256_mul_pd(av, bl));
+    c2h = _mm256_sub_pd(c2h, _mm256_mul_pd(av, bh));
+    av = _mm256_broadcast_sd(l3 + k);
+    c3l = _mm256_sub_pd(c3l, _mm256_mul_pd(av, bl));
+    c3h = _mm256_sub_pd(c3h, _mm256_mul_pd(av, bh));
+  }
+  _mm256_storeu_pd(c, c0l);
+  _mm256_storeu_pd(c + 4, c0h);
+  _mm256_storeu_pd(c + ldc, c1l);
+  _mm256_storeu_pd(c + ldc + 4, c1h);
+  _mm256_storeu_pd(c + 2 * ldc, c2l);
+  _mm256_storeu_pd(c + 2 * ldc + 4, c2h);
+  _mm256_storeu_pd(c + 3 * ldc, c3l);
+  _mm256_storeu_pd(c + 3 * ldc + 4, c3h);
+}
+
 void dot_rows_transposed_f32_avx2(const float* x, const float* bt,
                                   std::size_t n, std::size_t k_dim,
                                   const float* bias, float* y) {

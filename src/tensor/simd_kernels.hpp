@@ -35,6 +35,11 @@ void matmul_rows_transposed_b_f64_scalar(const double* a, std::size_t m,
 void gemm_rows_f64_scalar(const double* a, std::size_t m, std::size_t k,
                           const double* w, std::size_t ncols, double* dst);
 void axpy_f64_scalar(double* dst, const double* src, double s, std::size_t n);
+void gram_tile_4x8_f64_scalar(const double* xi, const double* xj,
+                              std::size_t rows, double* c, std::size_t ldc);
+void cholesky_tile_4x8_f64_scalar(const double* l, std::size_t ldl,
+                                  const double* p, std::size_t k_dim,
+                                  double* c, std::size_t ldc);
 void dot_rows_transposed_f32_scalar(const float* x, const float* bt,
                                     std::size_t n, std::size_t k_dim,
                                     const float* bias, float* y);
@@ -58,6 +63,11 @@ void matmul_rows_transposed_b_f64_avx2(const double* a, std::size_t m,
 void gemm_rows_f64_avx2(const double* a, std::size_t m, std::size_t k,
                         const double* w, std::size_t ncols, double* dst);
 void axpy_f64_avx2(double* dst, const double* src, double s, std::size_t n);
+void gram_tile_4x8_f64_avx2(const double* xi, const double* xj,
+                            std::size_t rows, double* c, std::size_t ldc);
+void cholesky_tile_4x8_f64_avx2(const double* l, std::size_t ldl,
+                                const double* p, std::size_t k_dim, double* c,
+                                std::size_t ldc);
 void dot_rows_transposed_f32_avx2(const float* x, const float* bt,
                                   std::size_t n, std::size_t k_dim,
                                   const float* bias, float* y);

@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "reference_linalg.hpp"
 #include "tensor/linalg.hpp"
 
 namespace pddl {
 namespace {
+
+using testing_oracle::at_each_dispatch_level;
+using testing_oracle::reference_cholesky;
+using testing_oracle::reference_gram;
+using testing_oracle::same_bits;
 
 Matrix random_spd(std::size_t n, Rng& rng) {
   Matrix a = Matrix::randn(n, n, rng);
@@ -154,6 +161,114 @@ TEST(LeastSquares, ScaleInvariantAcrossColumns) {
   EXPECT_NEAR(x[0], coef[0], 1e-6);
   EXPECT_NEAR(x[1], coef[1], 1e-8);
   EXPECT_NEAR(x[2] / coef[2], 1.0, 1e-6);
+}
+
+// A design matrix with exact zeros in it: every 7th entry, and one whole
+// column when there are at least three.
+Matrix design_with_zeros(std::size_t n, std::size_t f, Rng& rng) {
+  Matrix x = Matrix::randn(n, f, rng);
+  for (std::size_t i = 0; i < x.size(); i += 7) x.data()[i] = 0.0;
+  if (f >= 3) {
+    for (std::size_t r = 0; r < n; ++r) x(r, 2) = 0.0;
+  }
+  return x;
+}
+
+TEST(Gram, BitIdenticalToMatmulOfTheTranspose) {
+  // Widths around the 4×8 tile and the 8-column panel, the 47-wide raw
+  // feature row and the 1325-wide poly2 basis of 50 features; one row, fewer
+  // rows than columns and more, several of them past the 128-row pass.
+  struct Shape {
+    std::size_t n, f;
+  };
+  const Shape shapes[] = {
+      {1, 1},   {5, 1},    {300, 1},   {1, 3},      {2, 3},
+      {300, 3}, {1, 7},    {3, 7},     {129, 7},    {1, 8},
+      {5, 8},   {300, 8},  {1, 9},     {4, 9},      {257, 9},
+      {1, 47},  {20, 47},  {300, 47},  {1, 1325},   {130, 1325},
+      {1400, 1325}};
+  Rng rng(41);
+  for (const Shape& s : shapes) {
+    const Matrix x = design_with_zeros(s.n, s.f, rng);
+    const Matrix want = reference_gram(x);
+    at_each_dispatch_level([&](const char* level) {
+      EXPECT_TRUE(same_bits(gram(x), want))
+          << level << ": n=" << s.n << " f=" << s.f;
+    });
+  }
+}
+
+TEST(Cholesky, BlockedFactorBitIdenticalToColumnLoop) {
+  // Panel edges: one column, a partial panel, one panel exactly, one past,
+  // and sizes around 64 and well past it.
+  for (const std::size_t n : {1, 7, 8, 9, 63, 64, 65, 300}) {
+    Rng rng(100 + n);
+    Matrix a = reference_gram(Matrix::randn(n + 3, n, rng));
+    for (std::size_t i = 0; i < n; ++i) a(i, i) += 1e-3;
+    const Matrix want = reference_cholesky(a);
+    // Only the lower triangle may be read: junk above it changes nothing.
+    Matrix junk = a;
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) junk(i, j) = -1e300;
+    }
+    at_each_dispatch_level([&](const char* level) {
+      EXPECT_TRUE(same_bits(cholesky(a), want)) << level << ": n=" << n;
+      EXPECT_TRUE(same_bits(cholesky(junk), want)) << level << ": n=" << n;
+    });
+  }
+}
+
+// The text after "check failed: " (the file and line differ by design).
+std::string failure_text(const Matrix& a, Matrix (*factor)(const Matrix&)) {
+  try {
+    factor(a);
+  } catch (const Error& e) {
+    const std::string what = e.what();
+    return what.substr(what.find("check failed: "));
+  }
+  return "no error";
+}
+
+TEST(Cholesky, NonSpdReportsTheSamePivotValueAndIndex) {
+  // Indefinite at a first-panel column, at a later panel's first column and
+  // mid-panel, plus a NaN pivot.
+  for (const std::size_t bad : {3, 16, 45}) {
+    Rng rng(7 + bad);
+    Matrix a = reference_gram(Matrix::randn(80, 70, rng));
+    a(bad, bad) = -0.5;
+    const std::string want = failure_text(a, &reference_cholesky);
+    ASSERT_NE(want.find("(pivot "), std::string::npos) << want;
+    ASSERT_NE(want.find(" at " + std::to_string(bad) + ")"),
+              std::string::npos)
+        << want;
+    at_each_dispatch_level([&](const char* level) {
+      EXPECT_EQ(failure_text(a, [](const Matrix& m) { return cholesky(m); }),
+                want)
+          << level;
+    });
+  }
+  Matrix nan = Matrix::identity(20);
+  nan(12, 5) = std::nan("");
+  const std::string want = failure_text(nan, &reference_cholesky);
+  ASSERT_NE(want.find("nan at 12)"), std::string::npos) << want;
+  at_each_dispatch_level([&](const char* level) {
+    EXPECT_EQ(failure_text(nan, [](const Matrix& m) { return cholesky(m); }),
+              want)
+        << level;
+  });
+}
+
+TEST(CholeskySolve, BitIdenticalToTheColumnLoopSolve) {
+  Rng rng(9);
+  const std::size_t n = 131;
+  Matrix a = reference_gram(Matrix::randn(150, n, rng));
+  for (std::size_t i = 0; i < n; ++i) a(i, i) += 1e-3;
+  Vector b(n);
+  for (auto& v : b) v = rng.gaussian();
+  const Vector want = testing_oracle::reference_cholesky_solve(a, b);
+  at_each_dispatch_level([&](const char* level) {
+    EXPECT_TRUE(same_bits(cholesky_solve(a, b), want)) << level;
+  });
 }
 
 }  // namespace

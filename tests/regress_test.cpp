@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "reference_linalg.hpp"
 #include "regress/dataset.hpp"
 #include "regress/grid_search.hpp"
 #include "regress/linear.hpp"
@@ -133,6 +134,13 @@ TEST(Linear, PredictBeforeFitThrows) {
   EXPECT_THROW(lr.predict({1.0, 2.0}), Error);
 }
 
+TEST(Linear, RejectsLabelCountMismatch) {
+  RegressionData d = linear_data(10, 0.1, 3);
+  d.y.pop_back();
+  EXPECT_THROW(LinearRegression().fit(d), Error);
+  EXPECT_THROW(LinearRegression(1e-3).fit(d), Error);
+}
+
 TEST(Linear, RidgeShrinksButStaysClose) {
   LinearRegression ridge(1.0);
   const auto data = linear_data(500, 0.01, 6);
@@ -243,6 +251,80 @@ TEST(Polynomial, LogTargetSaveLoadPredictsBitIdentically) {
   }
   EXPECT_THROW(loaded.predict(Vector(5, 1.0)), Error);
   EXPECT_THROW(loaded.predict(Vector(7, 1.0)), Error);
+}
+
+// The ridge fit as it ran before the blocked kernels: expand, standardize
+// into a copy, Gram matrix as the matmul of the transpose, column-loop
+// Cholesky.  PolynomialRegression must reproduce it bit for bit.
+struct ReferenceFit {
+  Vector mean, stddev, coef;
+  double intercept = 0.0;
+};
+
+ReferenceFit reference_poly2_fit(const Matrix& raw, const Vector& y,
+                                 bool interactions, double lambda) {
+  const Matrix expanded = polynomial_expand(raw, interactions);
+  StandardScaler scaler;
+  scaler.fit(expanded);
+  const Matrix xs = scaler.transform(expanded);
+  const std::size_t n = xs.rows(), f = xs.cols();
+  double ymean = 0.0;
+  for (double v : y) ymean += v;
+  ymean /= static_cast<double>(n);
+  Vector yc(n);
+  for (std::size_t i = 0; i < n; ++i) yc[i] = y[i] - ymean;
+  Matrix xtx = testing_oracle::reference_gram(xs);
+  for (std::size_t j = 0; j < f; ++j) xtx(j, j) += lambda;
+  return {scaler.mean(), scaler.stddev(),
+          testing_oracle::reference_cholesky_solve(xtx,
+                                                   matvec_transposed(xs, yc)),
+          ymean};
+}
+
+void expect_same_fit(const LinearRegression& got, const ReferenceFit& want,
+                     const std::string& what) {
+  using testing_oracle::same_bits;
+  EXPECT_TRUE(same_bits(got.coefficients(), want.coef)) << what;
+  EXPECT_TRUE(same_bits(got.intercept(), want.intercept)) << what;
+  EXPECT_TRUE(same_bits(got.scaler().mean(), want.mean)) << what;
+  EXPECT_TRUE(same_bits(got.scaler().stddev(), want.stddev)) << what;
+}
+
+TEST(Polynomial, FitBitIdenticalToTheUnblockedReferencePath) {
+  struct Case {
+    std::size_t n, d;
+    bool interactions;
+  };
+  // Small shapes with and without cross terms, then the production shape:
+  // 50 raw features (1325 basis columns) over 992 campaign rows.
+  const Case cases[] = {{40, 9, true}, {200, 9, true}, {200, 9, false},
+                        {992, 50, true}};
+  for (const Case& c : cases) {
+    const auto data = poly_parity_data(c.n, c.d, 31 + c.d);
+    const double lambda = 1e-3;
+    const ReferenceFit want =
+        reference_poly2_fit(data.x, data.y, c.interactions, lambda);
+    testing_oracle::at_each_dispatch_level([&](const char* level) {
+      PolynomialRegression pr(c.interactions, lambda);
+      pr.fit(data);
+      expect_same_fit(pr.linear(), want,
+                      std::string(level) + " n=" + std::to_string(c.n) +
+                          " d=" + std::to_string(c.d));
+    });
+  }
+}
+
+TEST(Polynomial, LogTargetFitBitIdenticalToTheUnblockedReferencePath) {
+  const auto data = poly_parity_data(300, 20, 37);
+  Vector logged(data.size());
+  for (std::size_t i = 0; i < data.size(); ++i) logged[i] = std::log(data.y[i]);
+  const ReferenceFit want = reference_poly2_fit(data.x, logged, true, 1e-3);
+  testing_oracle::at_each_dispatch_level([&](const char* level) {
+    LogTargetRegressor lt(std::make_unique<PolynomialRegression>());
+    lt.fit(data);
+    const auto& poly = dynamic_cast<const PolynomialRegression&>(lt.inner());
+    expect_same_fit(poly.linear(), want, level);
+  });
 }
 
 TEST(SvrRbf, FitsQuadraticWithinTube) {
